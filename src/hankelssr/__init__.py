@@ -11,15 +11,11 @@ from .core import (
     HankelSpec,
     ImpulseResponse,
     build_hankel,
-    build_regressor,
-    build_vectorization_map,
     choose_hankel_shape,
-    identity_weights,
     make_hankel_spec,
     numerical_rank,
     predict_outputs,
     read_dataset_csv,
-    stack_outputs,
     surrogate_weights,
     weighted_hankel,
     write_dataset_csv,
@@ -31,12 +27,10 @@ from .estimators import (
     SsrOptions,
     SsrResult,
     SsrState,
-    a_matrix,
     atom_dictionary,
     atom_estimate,
     estimate_noise_variance,
     estimate_to_json,
-    map_estimate,
     optimize_lambdas,
     rank_penalty_matrix,
     ss_estimate,
@@ -74,21 +68,16 @@ __all__ = [
     "SsrResult",
     "SsrState",
     "AtomDictionary",
-    "a_matrix",
     "aggregate",
     "assemble_prior",
     "atom_dictionary",
     "atom_estimate",
     "build_hankel",
-    "build_regressor",
-    "build_vectorization_map",
     "choose_hankel_shape",
     "estimate_noise_variance",
     "estimate_to_json",
     "fit_metric",
-    "identity_weights",
     "make_hankel_spec",
-    "map_estimate",
     "numerical_rank",
     "optimize_lambdas",
     "predict_outputs",
@@ -104,7 +93,6 @@ __all__ = [
     "ssr_fit",
     "ssr_negative_log_ml",
     "stable_spline_gram",
-    "stack_outputs",
     "surrogate_weights",
     "update_q",
     "variational_bound_check",

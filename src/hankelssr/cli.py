@@ -149,15 +149,19 @@ def cmd_estimate(args) -> int:
 
     sigma = None
     trace = None
-    if name == "ss":
-        res = ss_estimate(dataset, args.kernel_order, T)
-        ir, sigma = res.ir, res.sigma
-    elif name in ("ssr", "ssr-weighted"):
-        weighted = args.weighted or name == "ssr-weighted"
-        res = ssr_fit(dataset, T, args.kernel_order, SsrOptions(weighted=weighted))
-        ir, sigma, trace = res.ir, res.sigma, res.trace
-    else:
-        ir = atom_estimate(dataset, T).ir
+    try:
+        if name == "ss":
+            res = ss_estimate(dataset, args.kernel_order, T)
+            ir, sigma = res.ir, res.sigma
+        elif name in ("ssr", "ssr-weighted"):
+            weighted = args.weighted or name == "ssr-weighted"
+            res = ssr_fit(dataset, T, args.kernel_order, SsrOptions(weighted=weighted))
+            ir, sigma, trace = res.ir, res.sigma, res.trace
+        else:
+            ir = atom_estimate(dataset, T).ir
+    except ValueError as exc:  # the data do not meet the estimator's preconditions
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out else data_path.parent
     stem = data_path.stem.replace("_data", "")

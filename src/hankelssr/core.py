@@ -1,36 +1,31 @@
 """Domain types and deterministic linear-algebra constructions.
 
 Truncated MIMO impulse responses are stored as flat coefficient vectors in
-channel-major layout.  This module provides the shared machinery: output
-stacking, lagged-input regressors, block Hankel matrices, the selection map
-that vectorizes the transposed Hankel matrix, and (optional) row/column
-weighting estimated from data.
+channel-major layout.  This module provides the shared machinery: lagged-input
+regressors, block Hankel matrices, the row indices that place each
+coefficient in the vectorized transposed Hankel matrix, and (optional)
+row/column weighting estimated from data.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 
 __all__ = [
     "ImpulseResponse",
     "Dataset",
     "HankelSpec",
-    "stack_outputs",
     "regressor_block",
-    "build_regressor",
     "predict_outputs",
     "choose_hankel_shape",
     "build_hankel",
     "weighted_hankel",
-    "build_vectorization_map",
     "make_hankel_spec",
     "surrogate_weights",
-    "identity_weights",
     "numerical_rank",
     "chol_psd",
     "read_dataset_csv",
@@ -116,6 +111,14 @@ class Dataset:
             raise ValueError(f"u has {u.shape[0]} rows but y has {y.shape[0]}")
         if u.shape[0] < 1:
             raise ValueError("need at least one sample")
+        for name, a in (("u", u), ("y", y)):
+            bad = np.argwhere(~np.isfinite(a))
+            if bad.size:
+                t, j = bad[0]
+                raise ValueError(
+                    f"{name}{j + 1} at sample {t + 1} is {float(a[t, j])!r}; "
+                    "inputs and outputs must be finite"
+                )
         object.__setattr__(self, "u", _owned(u))
         object.__setattr__(self, "y", _owned(y))
 
@@ -130,11 +133,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.y.shape[1]
-
-
-def stack_outputs(d: Dataset) -> np.ndarray:
-    """Stack observations channel-major, time-inner: [y1(1..N) | ... | yp(1..N)]."""
-    return d.y.flatten(order="F")
 
 
 def regressor_block(u: np.ndarray, T: int) -> np.ndarray:
@@ -154,12 +152,6 @@ def regressor_block(u: np.ndarray, T: int) -> np.ndarray:
         for k in range(1, min(T, N) + 1):
             phi[k:, j * T + k - 1] = u[: N - k, j]
     return phi
-
-
-def build_regressor(d: Dataset, T: int) -> np.ndarray:
-    """Full regressor matrix Phi (N*p x T*m*p): p diagonal copies of phi."""
-    phi = regressor_block(d.u, T)
-    return linalg.block_diag(*([phi] * d.p))
 
 
 def predict_outputs(d: Dataset, ir: ImpulseResponse) -> np.ndarray:
@@ -203,11 +195,12 @@ def _hankel_row_sources(T: int, p: int, m: int, r: int, c: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HankelSpec:
-    """Shape, vectorization map and weighting for the block Hankel matrix.
+    """Shape, vectorization indices and weighting for the block Hankel matrix.
 
-    ``row_src[rho]`` is the theta index picked by row rho of the 0/1 selection
-    matrix P satisfying P @ theta = vec(H(theta)^T); P itself is exposed as a
-    sparse matrix because r*p*c*m by T*m*p dense storage is wasteful.
+    ``row_src[rho]`` is the theta index that lands in entry rho of
+    vec(H(theta)^T), so ``theta[row_src]`` vectorizes the transposed Hankel
+    matrix; in matrix form it is the 0/1 selection matrix P with one 1 per
+    row.
     """
 
     r: int
@@ -243,38 +236,13 @@ class HankelSpec:
     def theta_dim(self) -> int:
         return self.T * self.m * self.p
 
-    @cached_property
-    def P(self) -> sparse.csr_matrix:
-        """The selection matrix as sparse CSR, one 1 per row."""
-        n_rows = self.row_src.size
-        data = np.ones(n_rows)
-        indptr = np.arange(n_rows + 1)
-        return sparse.csr_matrix(
-            (data, self.row_src, indptr), shape=(n_rows, self.theta_dim)
-        )
-
     def vec_hankel_t(self, theta: np.ndarray) -> np.ndarray:
-        """P @ theta without touching the sparse matrix."""
+        """vec(H(theta)^T), column-major."""
         return np.asarray(theta, dtype=float)[self.row_src]
 
     def multiplicities(self) -> np.ndarray:
-        """How many Hankel entries each coefficient occupies (column sums of P)."""
+        """How many Hankel entries each coefficient occupies."""
         return np.bincount(self.row_src, minlength=self.theta_dim).astype(float)
-
-
-def build_vectorization_map(T: int, p: int, m: int, r: int, c: int) -> sparse.csr_matrix:
-    """Sparse 0/1 matrix P with P @ theta = vec(H(theta)^T), vec column-major."""
-    if r + c - 1 != T:
-        raise ValueError("need r + c - 1 = T")
-    row_src = _hankel_row_sources(T, p, m, r, c)
-    data = np.ones(row_src.size)
-    indptr = np.arange(row_src.size + 1)
-    return sparse.csr_matrix((data, row_src, indptr), shape=(row_src.size, T * m * p))
-
-
-def identity_weights(r: int, c: int, p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unweighted mode: W1 = I_cm, W2 = I_rp."""
-    return np.eye(c * m), np.eye(r * p)
 
 
 def surrogate_weights(d: Dataset, r: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,15 +289,14 @@ def make_hankel_spec(
         r, c = choose_hankel_shape(T, p, m)
     if r + c - 1 != T:
         raise ValueError("need r + c - 1 = T")
-    I1, I2 = identity_weights(r, c, p, m)
     return HankelSpec(
         r=r,
         c=c,
         p=p,
         m=m,
         row_src=_hankel_row_sources(T, p, m, r, c),
-        W1=I1 if W1 is None else W1,
-        W2=I2 if W2 is None else W2,
+        W1=np.eye(c * m) if W1 is None else W1,
+        W2=np.eye(r * p) if W2 is None else W2,
     )
 
 

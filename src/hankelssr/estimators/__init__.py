@@ -5,16 +5,13 @@ from .ss import (
     estimate_noise_variance,
     ss_estimate,
     ss_negative_log_ml,
-    ss_posterior_mean,
 )
 from .ssr import (
     SsrHyperparameters,
     SsrOptions,
     SsrResult,
     SsrState,
-    a_matrix,
     estimate_to_json,
-    map_estimate,
     optimize_lambdas,
     rank_penalty_matrix,
     ssr_fit,
@@ -29,14 +26,11 @@ __all__ = [
     "estimate_noise_variance",
     "ss_estimate",
     "ss_negative_log_ml",
-    "ss_posterior_mean",
     "SsrHyperparameters",
     "SsrOptions",
     "SsrResult",
     "SsrState",
-    "a_matrix",
     "estimate_to_json",
-    "map_estimate",
     "optimize_lambdas",
     "rank_penalty_matrix",
     "ssr_fit",

@@ -89,7 +89,9 @@ def _lasso_cd(
     the fitted correlation q = G w is maintained incrementally so each
     update costs O(n_atoms).  Each full pass is followed by passes over the
     current active set until it stabilizes; stops when the mu-relative KKT
-    residual drops below ``tol``.
+    residual drops below ``tol`` or after ``max_sweeps`` full passes,
+    whichever comes first, so the returned weights may leave a residual
+    above ``tol``.
     """
     n = c.size
     w = np.zeros(n) if w0 is None else w0.copy()
@@ -174,7 +176,10 @@ def atom_estimate(
     When ``mu`` is not given it is chosen from a 20-point log grid spanning
     four decades below the smallest fully-shrinking value, scored by
     prediction error on the last ``holdout`` fraction of samples; the final
-    coefficients are refit on all data with the selected weight.
+    coefficients are refit on all data with the selected weight.  That
+    final solve stops at the KKT tolerance ``tol`` or after ``max_sweeps``
+    passes, whichever comes first; ``AtomResult.kkt`` reports the residual
+    it reached.
     """
     if d.p != 1 or d.m != 1:
         raise ValueError("atomic estimator is SISO only (p = m = 1)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from ..kernels import KernelModel, stable_spline_gram
 __all__ = [
     "SsResult",
     "ss_negative_log_ml",
-    "ss_posterior_mean",
     "ss_estimate",
     "estimate_noise_variance",
 ]
@@ -55,8 +55,12 @@ def _gram_chol(order: int, alpha: float, T: int, m: int) -> np.ndarray:
     return linalg.block_diag(*([Lk] * m))
 
 
-def _channel_nll(ch: _ChannelData, L: np.ndarray, scale: float, sigma: float) -> float:
-    """Y' Lam^-1 Y + log|Lam| for Lam = sigma I + scale * phi K phi'."""
+def _channel_fit(
+    ch: _ChannelData, L: np.ndarray, scale: float, sigma: float
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """Evidence Y' Lam^-1 Y + log|Lam| for Lam = sigma I + scale * phi K phi',
+    and a function returning the posterior mean of the channel coefficients
+    from the same factorization (the evidence search never calls it)."""
     M = scale * (L.T @ ch.C @ L)
     M[np.diag_indices_from(M)] += sigma
     R, lower = linalg.cho_factor(M, lower=True)
@@ -66,16 +70,11 @@ def _channel_nll(ch: _ChannelData, L: np.ndarray, scale: float, sigma: float) ->
     logdet = (ch.n - ch.tm) * math.log(sigma) + 2.0 * float(
         np.sum(np.log(np.diag(R)))
     )
-    return quad + logdet
 
+    def posterior_mean() -> np.ndarray:
+        return scale * (L @ linalg.solve_triangular(R, w, lower=True, trans="T"))
 
-def _channel_posterior(ch: _ChannelData, L: np.ndarray, scale: float, sigma: float) -> np.ndarray:
-    """Posterior mean of the channel coefficients under the scaled kernel prior."""
-    M = scale * (L.T @ ch.C @ L)
-    M[np.diag_indices_from(M)] += sigma
-    R = linalg.cho_factor(M, lower=True)
-    z = linalg.cho_solve(R, L.T @ ch.b)
-    return scale * (L @ z)
+    return quad + logdet, posterior_mean
 
 
 def ss_negative_log_ml(
@@ -97,31 +96,11 @@ def ss_negative_log_ml(
     ch = _ChannelData(phi, d.y[:, 0])
     L = _gram_chol(order, alpha, T, d.m)
     try:
-        return _channel_nll(ch, L, scale, sigma)
+        return _channel_fit(ch, L, scale, sigma)[0]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"marginal likelihood failed at alpha={alpha}, scale={scale}, sigma={sigma}"
         ) from exc
-
-
-def ss_negative_log_ml_dense(
-    d: Dataset, T: int, order: int, alpha: float, scale: float, sigma: float
-) -> float:
-    """Brute-force evaluation building the N x N covariance; small N only."""
-    if d.p != 1:
-        raise ValueError("single output channel expected")
-    if d.n > 2000:
-        raise ValueError("dense path is for small instances")
-    phi = regressor_block(d.u, T)
-    K = stable_spline_gram(order, alpha, T)
-    if d.m > 1:
-        K = linalg.block_diag(*([K] * d.m))
-    lam = sigma * np.eye(d.n) + scale * (phi @ K @ phi.T)
-    y = d.y[:, 0]
-    sign, logdet = np.linalg.slogdet(lam)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("covariance not PD")
-    return float(y @ np.linalg.solve(lam, y)) + logdet
 
 
 @dataclass(frozen=True)
@@ -148,10 +127,10 @@ def _moment_init(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, f
 
 def _fit_channel(
     ch: _ChannelData, order: int, T: int, m: int, budget: int = NM_BUDGET
-) -> tuple[float, float, float, float, bool]:
+) -> tuple[float, float, float, bool]:
     """Empirical-Bayes search for one output channel.
 
-    Returns (alpha, scale, sigma, nll, converged).  Nelder-Mead over
+    Returns (alpha, scale, sigma, converged).  Nelder-Mead over
     (alpha, log10 scale, log10 sigma) seeded from a coarse grid, restarted
     once from the best point.
     """
@@ -176,7 +155,7 @@ def _fit_channel(
                 cache.clear()
             cache[key] = L
         try:
-            return _channel_nll(ch, L, scale, sigma)
+            return _channel_fit(ch, L, scale, sigma)[0]
         except np.linalg.LinAlgError:
             return np.inf
 
@@ -211,27 +190,7 @@ def _fit_channel(
     if not converged:
         log.debug("channel evidence search hit its budget; keeping best point")
     alpha = min(max(float(x[0]), a_lo), a_hi)
-    return alpha, 10.0 ** float(x[1]), 10.0 ** float(x[2]), float(fun), converged
-
-
-def ss_posterior_mean(
-    d: Dataset,
-    order: int,
-    alphas: np.ndarray,
-    scales: np.ndarray,
-    sigmas: np.ndarray,
-    T: int,
-) -> ImpulseResponse:
-    """Posterior-mean coefficients with all hyperparameters pinned."""
-    phi = regressor_block(d.u, T)
-    theta = np.empty(T * d.m * d.p)
-    for i in range(d.p):
-        ch = _ChannelData(phi, d.y[:, i])
-        L = _gram_chol(order, float(alphas[i]), T, d.m)
-        theta[i * T * d.m : (i + 1) * T * d.m] = _channel_posterior(
-            ch, L, float(scales[i]), float(sigmas[i])
-        )
-    return ImpulseResponse(p=d.p, m=d.m, T=T, theta=theta)
+    return alpha, 10.0 ** float(x[1]), 10.0 ** float(x[2]), converged
 
 
 def ss_estimate(
@@ -257,17 +216,12 @@ def ss_estimate(
         ch = _ChannelData(phi, d.y[:, i])
         if fixed is not None:
             alphas[i], scales[i], eb_sigma[i] = fixed
-            L = _gram_chol(order, alphas[i], T, d.m)
-            nlls[i] = _channel_nll(ch, L, scales[i], eb_sigma[i])
         else:
-            alphas[i], scales[i], eb_sigma[i], nlls[i], ok = _fit_channel(
-                ch, order, T, d.m, budget
-            )
+            alphas[i], scales[i], eb_sigma[i], ok = _fit_channel(ch, order, T, d.m, budget)
             converged &= ok
         L = _gram_chol(order, alphas[i], T, d.m)
-        theta[i * T * d.m : (i + 1) * T * d.m] = _channel_posterior(
-            ch, L, scales[i], eb_sigma[i]
-        )
+        nlls[i], posterior_mean = _channel_fit(ch, L, scales[i], eb_sigma[i])
+        theta[i * T * d.m : (i + 1) * T * d.m] = posterior_mean()
     ir = ImpulseResponse(p=d.p, m=d.m, T=T, theta=theta)
     kernel = KernelModel(order=order, T=T, p=d.p, m=d.m, alphas=alphas, scales=scales)
     sigma = estimate_noise_variance(d, ir)

@@ -2,17 +2,21 @@
 
 The rank surrogate log|H~ H~'| is majorized by linear upper bounds in
 H~ H~', which turns the penalty into a quadratic form in theta through the
-selection map P.  Hyperparameters (the two penalty weights and the bound
-matrix Q) are tuned by minimizing the negative log marginal likelihood of
-the induced Gaussian model; the coefficient update is then a closed-form
-regularized least-squares solve.  Fitting alternates the two in a
-block-coordinate loop that stops as soon as the evidence stops improving.
+row indices that place each coefficient in the Hankel matrix.
+Hyperparameters (the two penalty weights and the bound matrix Q) are tuned
+by minimizing the negative log marginal likelihood of the induced Gaussian
+model; the coefficient update is then a closed-form regularized
+least-squares solve.  Both come from one engine that works in coordinates
+whitened by the kernel, K = L L', so K^-1 is never formed.  Fitting
+alternates the two in a block-coordinate loop that stops as soon as the
+evidence stops improving.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg, optimize
@@ -21,12 +25,10 @@ from ..core import (
     Dataset,
     HankelSpec,
     ImpulseResponse,
-    build_regressor,
     choose_hankel_shape,
     chol_psd,
     make_hankel_spec,
     regressor_block,
-    stack_outputs,
     surrogate_weights,
     weighted_hankel,
 )
@@ -39,8 +41,6 @@ __all__ = [
     "SsrOptions",
     "SsrResult",
     "rank_penalty_matrix",
-    "a_matrix",
-    "map_estimate",
     "ssr_negative_log_ml",
     "optimize_lambdas",
     "update_q",
@@ -52,7 +52,7 @@ __all__ = [
 
 log = logging.getLogger("hankelssr.ssr")
 
-DENSE_LIMIT = 500  # N*p cap for the brute-force marginal-likelihood path
+MIN_SAMPLES = 16  # smallest N with log(log(N)) > 0 in the bound-matrix threshold
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,9 @@ class SsrResult:
 def rank_penalty_matrix(Q: np.ndarray, spec: HankelSpec) -> np.ndarray:
     """P' (W2 Q W2' kron W1'W1) P without materializing the Kronecker product.
 
-    Exploits that each row of P selects a single coefficient: the product is
-    a structured scatter of the two small Gram factors.
+    P is the 0/1 selection matrix with P theta = vec(H(theta)'); its row rho
+    picks the single coefficient spec.row_src[rho], so the product is a
+    structured scatter of the two small Gram factors.
     """
     rp, cm = spec.r * spec.p, spec.c * spec.m
     dim = spec.theta_dim
@@ -144,107 +145,114 @@ def rank_penalty_matrix(Q: np.ndarray, spec: HankelSpec) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def a_matrix(
-    Q: np.ndarray, lambda1: float, lambda2: float, K: np.ndarray, spec: HankelSpec
-) -> np.ndarray:
-    """Prior precision lambda1 * P'(W2 Q W2' kron W1'W1)P + lambda2 * K^-1."""
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be nonnegative")
-    if lambda2 <= 0:
-        raise ValueError("lambda2 must be positive")
-    LK = chol_psd(np.asarray(K, dtype=float))
-    K_inv = linalg.cho_solve((LK, True), np.eye(LK.shape[0]))
-    A = lambda2 * 0.5 * (K_inv + K_inv.T)
-    if lambda1 > 0:
-        A = A + lambda1 * rank_penalty_matrix(Q, spec)
-    return 0.5 * (A + A.T)
+@dataclass(frozen=True)
+class _RankPrior:
+    """Whitened rank penalty S = L' R_Q L of one bound matrix and its eigenvalues."""
+
+    S: np.ndarray
+    mu: np.ndarray
 
 
 class _Workspace:
-    """Per-dataset caches for the marginal likelihood and the MAP solve."""
+    """Evidence and MAP solve of one dataset and prior covariance K.
+
+    Everything is computed for x = L^-1 theta with K = L L'.  There the
+    prior precision lambda2 K^-1 + lambda1 R_Q becomes lambda2 I + lambda1 S,
+    S = L' R_Q L, with log-determinant sum(log(lambda2 + lambda1 mu)) over the
+    eigenvalues mu of S, and the data term becomes G = L' Phi~'Phi~ L with
+    h = L' Phi~'Y~ (Phi~, Y~ the noise-whitened regressor and outputs).  K is
+    factored once; each bound matrix costs the eigenvalues of S; each
+    evidence probe then factors lambda2 I + lambda1 S + G once.  With the
+    rank penalty off a probe factors nothing: one eigendecomposition of G
+    per workspace makes it diagonal.
+    """
 
     def __init__(self, d: Dataset, K: np.ndarray, sigma: np.ndarray, spec: HankelSpec):
         if spec.p != d.p or spec.m != d.m:
             raise ValueError("HankelSpec channel counts disagree with the dataset")
-        T = spec.T
-        self.spec = spec
-        self.n, self.p, self.m, self.T = d.n, d.p, d.m, T
-        self.dim = T * d.m * d.p
         sigma = np.asarray(sigma, dtype=float).reshape(-1)
         if sigma.size != d.p or np.any(sigma <= 0):
             raise ValueError("need one positive noise variance per output")
-        self.sigma = sigma
+        T = spec.T
+        self.dim = T * d.m * d.p
+        self.L = chol_psd(np.asarray(K, dtype=float))
 
         phi = regressor_block(d.u, T)
         C = phi.T @ phi
         tm = T * d.m
-        self.AtA = linalg.block_diag(*[C / s for s in sigma])
-        self.Atb = np.empty(self.dim)
+        AtA = linalg.block_diag(*[C / s for s in sigma])
+        Atb = np.empty(self.dim)
         ybar = 0.0
         for i in range(d.p):
-            self.Atb[i * tm : (i + 1) * tm] = phi.T @ d.y[:, i] / sigma[i]
+            Atb[i * tm : (i + 1) * tm] = phi.T @ d.y[:, i] / sigma[i]
             ybar += float(d.y[:, i] @ d.y[:, i]) / sigma[i]
         self.ybar_sq = ybar
         self.log_sigma_term = d.n * float(np.sum(np.log(sigma)))
+        G = self.L.T @ AtA @ self.L
+        self.G = 0.5 * (G + G.T)
+        self.h = self.L.T @ Atb
 
-        LK = chol_psd(np.asarray(K, dtype=float))
-        K_inv = linalg.cho_solve((LK, True), np.eye(self.dim))
-        self.K_inv = 0.5 * (K_inv + K_inv.T)
+    def rank_prior(self, R_Q: np.ndarray) -> _RankPrior:
+        """Whitened form of a rank-penalty matrix, with eigenvalues only."""
+        S = self.L.T @ R_Q @ self.L
+        S = 0.5 * (S + S.T)
+        return _RankPrior(S=S, mu=np.linalg.eigvalsh(S))
 
-    def precision(self, R_Q: np.ndarray | None, lambda1: float, lambda2: float) -> np.ndarray:
-        A = lambda2 * self.K_inv
-        if lambda1 > 0:
-            if R_Q is None:
-                raise ValueError("rank penalty matrix required when lambda1 > 0")
-            A = A + lambda1 * R_Q
-        return A
+    @cached_property
+    def _g_eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eigenvalues g and vectors U of G, and U'h.
 
-    def nll(self, R_Q: np.ndarray | None, lambda1: float, lambda2: float) -> float:
-        """Evidence of (lambda1, lambda2, Q) through the theta-dimensional lemmas."""
-        A = self.precision(R_Q, lambda1, lambda2)
-        cA = np.linalg.cholesky(A)
-        cP = np.linalg.cholesky(A + self.AtA)
-        w = linalg.solve_triangular(cP, self.Atb, lower=True)
-        quad = self.ybar_sq - float(w @ w)
-        logdet = self.log_sigma_term + 2.0 * float(
-            np.sum(np.log(np.diag(cP))) - np.sum(np.log(np.diag(cA)))
-        )
-        return quad + logdet
+        scipy's eigh, not numpy's: with default BLAS threads numpy's slows
+        about 60-fold on small matrices when two processes share the cores.
+        """
+        g, U = linalg.eigh(self.G)
+        return g, U, U.T @ self.h
 
-    def map(self, A: np.ndarray) -> np.ndarray:
-        cP = linalg.cho_factor(A + self.AtA, lower=True)
-        return linalg.cho_solve(cP, self.Atb)
+    def _posterior(self, rp: _RankPrior | None, lambda1: float, lambda2: float):
+        """log|lambda2 I + lambda1 S| and the posterior precision
+        lambda2 I + lambda1 S + G: its eigenvalues in G's eigenbasis when
+        lambda1 = 0, else its lower Cholesky factor."""
+        if lambda1 == 0:
+            post = lambda2 + self._g_eig[0]
+            if not (lambda2 > 0 and np.all(post > 0)):
+                raise np.linalg.LinAlgError("precision not positive definite")
+            return self.dim * math.log(lambda2), post
+        prior = lambda2 + lambda1 * rp.mu
+        if not np.all(prior > 0):
+            raise np.linalg.LinAlgError("prior precision not positive definite")
+        M = lambda1 * rp.S
+        M += self.G
+        M.ravel()[:: self.dim + 1] += lambda2  # the diagonal, as a view
+        # numpy's LAPACK, not scipy's: numpy and scipy each bundle an OpenBLAS
+        # with its own thread pool, and a scipy pool left spinning after the
+        # search slows the numpy products of the next ss fit.
+        return float(np.sum(np.log(prior))), np.linalg.cholesky(M)
 
+    def nll(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> float:
+        """Y~'Lam^-1 Y~ + log|Lam| of (lambda1, lambda2, Q) through the
+        theta-dimensional inversion and determinant lemmas."""
+        logdet_prior, post = self._posterior(rp, lambda1, lambda2)
+        if post.ndim == 1:
+            quad = float(np.sum(self._g_eig[2] ** 2 / post))
+            logdet_post = float(np.sum(np.log(post)))
+        else:
+            w = linalg.solve_triangular(post, self.h, lower=True)
+            quad = float(w @ w)
+            logdet_post = 2.0 * float(np.sum(np.log(np.diag(post))))
+        return self.ybar_sq - quad + self.log_sigma_term + logdet_post - logdet_prior
 
-def map_estimate(d: Dataset, A: np.ndarray, sigma: np.ndarray) -> ImpulseResponse:
-    """Closed-form coefficient estimate [Phi~'Phi~ + A]^-1 Phi~'Y~.
+    def map(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> np.ndarray:
+        """Closed-form estimate [Phi~'Phi~ + A]^-1 Phi~'Y~ as theta = L x."""
+        _, post = self._posterior(rp, lambda1, lambda2)
+        if post.ndim == 1:
+            _, U, hu = self._g_eig
+            return self.L @ (U @ (hu / post))
+        return self.L @ linalg.cho_solve((post, True), self.h)
 
-    Phi~ and Y~ are the noise-whitened regressor and observation stacks; the
-    truncation length is inferred from A's dimension.
-    """
-    A = np.asarray(A, dtype=float)
-    dim = A.shape[0]
-    T, rem = divmod(dim, d.m * d.p)
-    if rem or T < 1:
-        raise ValueError("A dimension incompatible with dataset channel counts")
-    sigma = np.asarray(sigma, dtype=float).reshape(-1)
-    phi = regressor_block(d.u, T)
-    C = phi.T @ phi
-    tm = T * d.m
-    Apost = A.copy()
-    rhs = np.empty(dim)
-    for i in range(d.p):
-        sl = slice(i * tm, (i + 1) * tm)
-        Apost[sl, sl] += C / sigma[i]
-        rhs[sl] = phi.T @ d.y[:, i] / sigma[i]
-    try:
-        cP = linalg.cho_factor(Apost, lower=True)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(Apost))
-        raise np.linalg.LinAlgError(
-            f"normal equations not positive definite (cond ~ {cond:.3e})"
-        ) from exc
-    return ImpulseResponse(p=d.p, m=d.m, T=T, theta=linalg.cho_solve(cP, rhs))
+    def trace_k_inv(self) -> float:
+        """tr(K^-1) = |L^-1|_F^2."""
+        L_inv = linalg.solve_triangular(self.L, np.eye(self.dim), lower=True)
+        return float(np.sum(L_inv**2))
 
 
 def ssr_negative_log_ml(
@@ -255,33 +263,20 @@ def ssr_negative_log_ml(
     K: np.ndarray,
     sigma: np.ndarray,
     spec: HankelSpec,
-    method: str = "lemma",
 ) -> float:
     """Negative log marginal likelihood Y' Lam^-1 Y + log|Lam|.
 
-    "lemma" evaluates through the theta-dimensional factorization and never
-    forms the N*p by N*p covariance; "dense" builds it outright and is
-    limited to N*p <= 500 (cross-check oracle).
+    The prior precision is lambda2 K^-1 + lambda1 P'(W2 Q W2' kron W1'W1)P.
+    The evaluation goes through the theta-dimensional factorization and
+    never forms the N*p by N*p covariance or K^-1.
     """
-    if method == "lemma":
-        ws = _Workspace(d, K, sigma, spec)
-        R_Q = rank_penalty_matrix(Q, spec) if lambda1 > 0 else None
-        return ws.nll(R_Q, lambda1, lambda2)
-    if method == "dense":
-        if d.n * d.p > DENSE_LIMIT:
-            raise ValueError(f"dense path limited to N*p <= {DENSE_LIMIT}")
-        A = a_matrix(Q, lambda1, lambda2, K, spec)
-        cA = linalg.cho_factor(A, lower=True)
-        A_inv = linalg.cho_solve(cA, np.eye(A.shape[0]))
-        Phi = build_regressor(d, spec.T)
-        sig = np.asarray(sigma, dtype=float).reshape(-1)
-        Lam = np.kron(np.diag(sig), np.eye(d.n)) + Phi @ A_inv @ Phi.T
-        Y = stack_outputs(d)
-        sign, logdet = np.linalg.slogdet(Lam)
-        if sign <= 0:
-            raise np.linalg.LinAlgError("output covariance not positive definite")
-        return float(Y @ np.linalg.solve(Lam, Y)) + float(logdet)
-    raise ValueError(f"unknown method {method!r}")
+    if lambda1 < 0:
+        raise ValueError("lambda1 must be nonnegative")
+    if lambda2 <= 0:
+        raise ValueError("lambda2 must be positive")
+    ws = _Workspace(d, K, sigma, spec)
+    rp = ws.rank_prior(rank_penalty_matrix(Q, spec)) if lambda1 > 0 else None
+    return ws.nll(rp, lambda1, lambda2)
 
 
 def _tracked_minimize(objective, x0, bounds, budget):
@@ -312,7 +307,7 @@ def _tracked_minimize(objective, x0, bounds, budget):
 
 def _optimize_lambdas(
     ws: _Workspace,
-    R_Q: np.ndarray | None,
+    rp: _RankPrior | None,
     init: tuple[float, float],
     lambda2_floor: float,
     opts: SsrOptions,
@@ -327,7 +322,7 @@ def _optimize_lambdas(
     def safe_nll(lam1, lam2):
         nonlocal failures
         try:
-            return ws.nll(R_Q, lam1, lam2)
+            return ws.nll(rp, lam1, lam2)
         except (np.linalg.LinAlgError, FloatingPointError):
             failures += 1
             return np.inf
@@ -389,11 +384,11 @@ def optimize_lambdas(
     """
     opts = options or SsrOptions()
     ws = _Workspace(d, K, sigma, spec)
-    R_Q = rank_penalty_matrix(Q, spec)
+    rp = ws.rank_prior(rank_penalty_matrix(Q, spec)) if opts.lambda1_fixed != 0 else None
     if lambda2_floor is None:
         lam2_l2, _ = _l2_only_lambda2(ws)
         lambda2_floor = opts.lambda2_floor_ratio * lam2_l2
-    lam1, lam2, _, _ = _optimize_lambdas(ws, R_Q, init, lambda2_floor, opts)
+    lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor, opts)
     return lam1, lam2
 
 
@@ -418,8 +413,8 @@ def _l2_only_lambda2(ws: _Workspace, lo: float = 1e-6, hi: float = 1e6) -> tuple
 def q_saturation(n_samples: int, n_rows: int) -> tuple[float, float]:
     """Threshold separating signal from noise singular values, and the
     saturation weight assigned below it.  Natural logarithms."""
-    if n_samples < 16:
-        raise ValueError("need n_samples >= 16 so log(log(n)) is positive")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_SAMPLES} so log(log(n)) is positive")
     loglog = math.log(math.log(n_samples))
     threshold = math.sqrt(n_rows * loglog / n_samples)
     nu = 10.0 * n_samples / (n_rows * loglog)
@@ -493,6 +488,8 @@ def ssr_fit(
     hyperparameters found.  Any numerical failure inside the loop returns
     the best state so far.
     """
+    if d.n < MIN_SAMPLES:
+        raise ValueError(f"ssr needs at least {MIN_SAMPLES} samples, got {d.n}")
     opts = options or SsrOptions()
     ss_res = ss_estimate(d, order, T, budget=opts.ss_budget)
     K = assemble_prior(ss_res.kernel)
@@ -511,15 +508,14 @@ def ssr_fit(
     lam2_l2, _ = _l2_only_lambda2(ws)
     floor = opts.lambda2_floor_ratio * lam2_l2
 
-    def make_state(k, lam1, lam2, Q, R_Q, nll) -> SsrState:
-        theta = ImpulseResponse(
-            p=d.p, m=d.m, T=T, theta=ws.map(ws.precision(R_Q, lam1, lam2))
-        )
+    def make_state(k, lam1, lam2, Q, rp, nll) -> SsrState:
+        theta = ImpulseResponse(p=d.p, m=d.m, T=T, theta=ws.map(rp, lam1, lam2))
         hyper = SsrHyperparameters(lambda1=lam1, lambda2=lam2, Q=Q, sigma=sigma)
         return SsrState(k=k, theta=theta, hyper=hyper, nll=nll)
 
     Q = update_q(ss_res.ir, spec, d.n)
     R_Q = rank_penalty_matrix(Q, spec) if opts.lambda1_fixed != 0 else None
+    rp = ws.rank_prior(R_Q) if R_Q is not None else None
 
     if opts.lambda1_fixed is not None:
         init = (opts.lambda1_fixed, lam2_l2)
@@ -527,26 +523,26 @@ def ssr_fit(
     else:
         # balance the two penalty traces as a starting magnitude for lambda1
         tr_rank = float(np.trace(R_Q)) if R_Q is not None else 0.0
-        lam1_bal = lam2_l2 * float(np.trace(ws.K_inv)) / max(tr_rank, 1e-300)
+        lam1_bal = lam2_l2 * ws.trace_k_inv() / max(tr_rank, 1e-300)
         lam1_bal = min(max(lam1_bal, opts.lambda1_bounds[0]), opts.lambda1_bounds[1])
         init = (lam1_bal, lam2_l2)
         extras = ((lam1_bal * 1e-2, lam2_l2), (opts.lambda1_bounds[0], lam2_l2))
 
-    lam1, lam2, nll, kept = _optimize_lambdas(ws, R_Q, init, floor, opts, extras)
+    lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, opts, extras)
     if kept:
         messages.append("initial lambda search failed; keeping initializer")
-    trace = [make_state(0, lam1, lam2, Q, R_Q, nll)]
+    trace = [make_state(0, lam1, lam2, Q, rp, nll)]
 
     for k in range(opts.max_iter):
         try:
             Q_new = update_q(trace[-1].theta, spec, d.n)
-            R_new = rank_penalty_matrix(Q_new, spec) if opts.lambda1_fixed != 0 else None
-            lam1n, lam2n, nll_new, kept = _optimize_lambdas(
-                ws, R_new, (lam1, lam2), floor, opts
-            )
+            rp = None
+            if opts.lambda1_fixed != 0:
+                rp = ws.rank_prior(rank_penalty_matrix(Q_new, spec))
+            lam1n, lam2n, nll_new, kept = _optimize_lambdas(ws, rp, (lam1, lam2), floor, opts)
             if not nll_new < trace[-1].nll:
                 break
-            trace.append(make_state(k + 1, lam1n, lam2n, Q_new, R_new, nll_new))
+            trace.append(make_state(k + 1, lam1n, lam2n, Q_new, rp, nll_new))
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             messages.append(f"iteration {k + 1} aborted: {exc}")
             log.warning("iteration %d aborted: %s", k + 1, exc)

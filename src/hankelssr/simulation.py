@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +119,6 @@ class ScenarioConfig:
         base = dict(SCENARIO_DEFAULTS[scenario])
         base.update(overrides)
         return cls(scenario=scenario, runs=runs, seed=seed, **base)
-
-    def with_overrides(self, **kw) -> "ScenarioConfig":
-        return replace(self, **kw)
 
 
 def scenario_s1(n: int, seed) -> tuple[TrueSystem, np.ndarray]:

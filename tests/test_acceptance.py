@@ -15,7 +15,6 @@ from hankelssr import (
     build_hankel,
     fit_metric,
     make_hankel_spec,
-    map_estimate,
     numerical_rank,
     predict_outputs,
     rank_penalty_matrix,
@@ -26,14 +25,33 @@ from hankelssr import (
     weighted_hankel,
 )
 from hankelssr.cli import main
-from hankelssr.core import regressor_block
 from hankelssr.estimators.ssr import q_saturation
 from hankelssr.harness import aggregate, run_study
 from hankelssr.kernels import KernelModel, assemble_prior
-from hankelssr.simulation import ScenarioConfig, _random_stable_system
+from hankelssr.simulation import ScenarioConfig, _random_stable_system, scenario_s1, simulate_oe
+from oracles import dense_evidence, engine_map, map_from_precision, precision, stacked_ls
 
 WORKERS = 2
 STUDY_SEED = 1
+
+
+def _s1_sized_case():
+    """Scenario s1's shape (p=3, T=80, first-order kernel) with per-output
+    kernel scales as far apart as an s1 fit finds them, so cond K > 1e10."""
+    N, T = 200, 80
+    system, u = scenario_s1(N, seed=106)
+    d = simulate_oe(system, u, (1.0, 4.0), seed=107)
+    spec = make_hankel_spec(T, 3, 1)
+    km = KernelModel(
+        order=1, T=T, p=3, m=1, alphas=[0.84, 0.84, 0.9], scales=[60.0, 0.4, 1000.0]
+    )
+    K = assemble_prior(km)
+    assert np.linalg.cond(K) >= 1e10
+    Q = update_q(system.impulse_response(T), spec, N)
+    return d, spec, K, np.array([3.0, 0.04, 425.0]), Q
+
+
+S1_LAMBDAS = [(0.0, 0.02), (4.0, 0.02)]
 
 
 def _medians(reports, names):
@@ -124,8 +142,6 @@ class TestCriterion05VariationalBound:
 
 class TestCriterion06MapEstimateOracle:
     def test_twenty_instances(self):
-        from scipy import linalg as sl
-
         rng = np.random.default_rng(102)
         for _ in range(20):
             p = int(rng.integers(1, 3))
@@ -138,15 +154,15 @@ class TestCriterion06MapEstimateOracle:
             sigma = rng.uniform(0.2, 3.0, size=p)
             a = rng.standard_normal((T * m * p, T * m * p))
             A = a @ a.T + T * m * p * np.eye(T * m * p)
-            got = map_estimate(d, A, sigma).theta
-            phi = regressor_block(u, T)
-            Phi_bar = sl.block_diag(*[phi / math.sqrt(s) for s in sigma])
-            Y_bar = np.concatenate(
-                [y[:, i] / math.sqrt(s) for i, s in enumerate(sigma)]
-            )
-            X = np.vstack([Phi_bar, np.linalg.cholesky(A).T])
-            z = np.concatenate([Y_bar, np.zeros(A.shape[0])])
-            oracle, *_ = np.linalg.lstsq(X, z, rcond=None)
+            got = map_from_precision(d, A, sigma)
+            oracle = stacked_ls(d, A, sigma, T)
+            np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-10)
+
+    def test_s1_sized_prior_against_stacked_ls(self):
+        d, spec, K, sigma, Q = _s1_sized_case()
+        for lam1, lam2 in S1_LAMBDAS:
+            got = engine_map(d, Q, lam1, lam2, K, sigma, spec)
+            oracle = stacked_ls(d, precision(Q, lam1, lam2, K, spec), sigma, spec.T)
             np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-10)
 
 
@@ -172,7 +188,14 @@ class TestCriterion07EvidenceLemmaVsDense:
             lam1 = float(rng.uniform(0.0, 5.0))
             lam2 = float(rng.uniform(0.1, 3.0))
             a = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec)
-            b = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec, method="dense")
+            b = dense_evidence(d, precision(Q, lam1, lam2, K, spec), sigma, T)
+            assert a == pytest.approx(b, rel=1e-8)
+
+    def test_s1_sized_prior_against_dense(self):
+        d, spec, K, sigma, Q = _s1_sized_case()
+        for lam1, lam2 in S1_LAMBDAS:
+            a = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec)
+            b = dense_evidence(d, precision(Q, lam1, lam2, K, spec), sigma, spec.T)
             assert a == pytest.approx(b, rel=1e-8)
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hankelssr import ImpulseResponse, fit_metric, read_dataset_csv
+from hankelssr import Dataset, ImpulseResponse, fit_metric, read_dataset_csv, write_dataset_csv
 from hankelssr.cli import main
 from hankelssr.simulation import read_system_json
 
@@ -150,6 +150,25 @@ class TestEstimateCommand:
             )
             == 2
         )
+
+    def test_non_finite_data_is_usage_error(self, tmp_path, capsys):
+        out = _simulate(tmp_path, n=40, t=6, seed=8)
+        data = out / "s2_run000_data.csv"
+        lines = data.read_text().splitlines()
+        row = lines[5].split(",")
+        row[2] = "nan"  # header t,u1,y1,...: the first output
+        lines[5] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--data", str(data), "--estimator", "ssr"]) == 3
+        assert "y1 at sample 5 is nan" in capsys.readouterr().err
+
+    def test_too_short_record_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        data = tmp_path / "short_data.csv"
+        write_dataset_csv(Dataset(u=rng.standard_normal(15), y=rng.standard_normal(15)), data)
+        code = main(["estimate", "--data", str(data), "--estimator", "ssr", "--t", "4"])
+        assert code == 3
+        assert "ssr needs at least 16 samples, got 15" in capsys.readouterr().err
 
 
 class TestBenchmarkCommand:

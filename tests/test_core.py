@@ -5,19 +5,16 @@ from hankelssr import (
     Dataset,
     ImpulseResponse,
     build_hankel,
-    build_regressor,
-    build_vectorization_map,
     choose_hankel_shape,
-    identity_weights,
     make_hankel_spec,
     numerical_rank,
     predict_outputs,
     read_dataset_csv,
-    stack_outputs,
     surrogate_weights,
     write_dataset_csv,
 )
 from hankelssr.core import regressor_block
+from oracles import build_regressor, stack_outputs
 
 
 class TestImpulseResponse:
@@ -173,23 +170,25 @@ class TestBuildHankel:
 
 class TestVectorizationMap:
     def test_siso_t3_matrix(self):
-        P = build_vectorization_map(3, 1, 1, 2, 2).toarray()
-        np.testing.assert_array_equal(P, [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
+        # rows of the 0/1 map [[1,0,0],[0,1,0],[0,1,0],[0,0,1]]
+        spec = make_hankel_spec(3, 1, 1, r=2, c=2)
+        np.testing.assert_array_equal(spec.row_src, [0, 1, 1, 2])
 
     def test_column_sums_are_multiplicities(self):
-        P = build_vectorization_map(3, 1, 1, 2, 2).toarray()
-        np.testing.assert_array_equal(P.sum(axis=0), [1, 2, 1])
         spec = make_hankel_spec(3, 1, 1)
         np.testing.assert_array_equal(spec.multiplicities(), [1, 2, 1])
+        T = 7
+        spec = make_hankel_spec(T, 1, 1)
+        mult = [min(k, T - k + 1, spec.r, spec.c) for k in range(1, T + 1)]
+        np.testing.assert_array_equal(spec.multiplicities(), mult)
 
     def test_mimo_cross_check_with_build_hankel(self):
         rng = np.random.default_rng(8)
         theta = rng.standard_normal(2 * 1 * 3)
         ir = ImpulseResponse(p=2, m=1, T=3, theta=theta)
         spec = make_hankel_spec(3, 2, 1, r=2, c=2)
-        P = build_vectorization_map(3, 2, 1, 2, 2)
         H = build_hankel(ir, spec)
-        np.testing.assert_array_equal(P @ theta, H.T.flatten(order="F"))
+        np.testing.assert_array_equal(spec.vec_hankel_t(theta), H.T.flatten(order="F"))
 
     def test_random_instances_exact(self):
         rng = np.random.default_rng(9)
@@ -202,9 +201,12 @@ class TestVectorizationMap:
             ir = ImpulseResponse(p=p, m=m, T=T, theta=theta)
             H = build_hankel(ir, spec)
             np.testing.assert_array_equal(
-                spec.P @ theta, H.T.flatten(order="F")
+                spec.vec_hankel_t(theta), H.T.flatten(order="F")
             )
-            assert (spec.P.sum(axis=1) == 1).all()  # one selected entry per row
+            # one selected coefficient per Hankel entry, every coefficient used
+            assert spec.row_src.shape == (H.size,)
+            assert spec.multiplicities().sum() == H.size
+            assert (spec.multiplicities() >= 1).all()
 
 
 class TestSurrogateWeights:
@@ -217,9 +219,9 @@ class TestSurrogateWeights:
         assert np.abs(W2 - np.eye(6)).max() < 0.1
 
     def test_identity_mode(self):
-        W1, W2 = identity_weights(r=4, c=5, p=2, m=1)
-        np.testing.assert_array_equal(W1, np.eye(5))
-        np.testing.assert_array_equal(W2, np.eye(8))
+        spec = make_hankel_spec(8, 2, 1, r=4, c=5)
+        np.testing.assert_array_equal(spec.W1, np.eye(5))
+        np.testing.assert_array_equal(spec.W2, np.eye(8))
 
     def test_weights_invertible(self):
         rng = np.random.default_rng(11)
@@ -267,3 +269,23 @@ class TestDatasetCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,u1,y1\n1,0.5,1.0\n2,0.1,nan\n3,0.2,0.3\n")
+        with pytest.raises(ValueError, match="y1 at sample 2 is nan"):
+            read_dataset_csv(path)
+
+
+class TestDatasetValidation:
+    def test_non_finite_input_names_column_and_sample(self):
+        u = np.zeros((5, 2))
+        u[2, 1] = np.inf
+        with pytest.raises(ValueError, match="u2 at sample 3 is inf"):
+            Dataset(u=u, y=np.zeros((5, 1)))
+
+    def test_non_finite_output_rejected(self):
+        y = np.zeros(4)
+        y[0] = -np.inf
+        with pytest.raises(ValueError, match="y1 at sample 1 is -inf"):
+            Dataset(u=np.zeros(4), y=y)

@@ -12,7 +12,7 @@ from hankelssr import (
     stable_spline_gram,
 )
 from hankelssr.core import regressor_block
-from hankelssr.estimators.ss import ss_negative_log_ml_dense
+from oracles import dense_ss_evidence
 
 
 def _siso_dataset(g, N, seed, noise_std=0.0):
@@ -72,7 +72,7 @@ class TestSsNegativeLogMl:
         d = Dataset(u=rng.standard_normal((50, 1)), y=rng.standard_normal((50, 1)))
         for alpha, scale, sigma in [(0.7, 2.0, 0.5), (0.95, 0.01, 3.0), (0.55, 40.0, 0.02)]:
             a = ss_negative_log_ml(d, T=8, order=1, alpha=alpha, scale=scale, sigma=sigma)
-            b = ss_negative_log_ml_dense(d, T=8, order=1, alpha=alpha, scale=scale, sigma=sigma)
+            b = dense_ss_evidence(d, T=8, order=1, alpha=alpha, scale=scale, sigma=sigma)
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_rejects_multi_output(self):

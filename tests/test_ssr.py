@@ -8,11 +8,9 @@ from hankelssr import (
     Dataset,
     ImpulseResponse,
     KernelModel,
-    a_matrix,
     assemble_prior,
     build_hankel,
     make_hankel_spec,
-    map_estimate,
     numerical_rank,
     optimize_lambdas,
     predict_outputs,
@@ -26,6 +24,7 @@ from hankelssr import (
 from hankelssr.core import regressor_block
 from hankelssr.estimators.ssr import SsrOptions, q_saturation, _l2_only_lambda2, _Workspace
 from hankelssr.simulation import fit_metric
+from oracles import dense_evidence, engine_map, map_from_precision, precision, stacked_ls
 
 
 def _random_spec(rng, p=None, m=None, T=None, weighted=True):
@@ -61,7 +60,8 @@ class TestRankPenaltyMatrix:
             rp = spec.r * spec.p
             Q = _random_pd(rng, rp)
             R = rank_penalty_matrix(Q, spec)
-            P = spec.P.toarray()
+            P = np.zeros((spec.row_src.size, spec.theta_dim))
+            P[np.arange(spec.row_src.size), spec.row_src] = 1.0
             dense = P.T @ np.kron(spec.W2 @ Q @ spec.W2.T, spec.W1.T @ spec.W1) @ P
             np.testing.assert_allclose(R, dense, atol=1e-10)
 
@@ -80,27 +80,37 @@ class TestRankPenaltyMatrix:
 
 
 class TestAMatrix:
+    """The prior precision A = lambda2 K^-1 + lambda1 R_Q the engine works with."""
+
     def test_lambda1_zero_reduces_to_scaled_inverse_kernel(self):
         rng = np.random.default_rng(2)
         spec = _random_spec(rng, p=1, m=1, T=6, weighted=False)
         K = _random_pd(rng, 6)
-        A = a_matrix(np.eye(spec.r), 0.0, 2.5, K, spec)
-        np.testing.assert_allclose(A, 2.5 * np.linalg.inv(K), rtol=1e-9)
+        d = Dataset(u=rng.standard_normal((20, 1)), y=rng.standard_normal((20, 1)))
+        sigma = np.array([0.8])
+        A = 2.5 * np.linalg.inv(K)
+        got = ssr_negative_log_ml(d, np.eye(spec.r), 0.0, 2.5, K, sigma, spec)
+        assert got == pytest.approx(dense_evidence(d, A, sigma, 6), rel=1e-9)
+        phi = regressor_block(d.u, 6)
+        ridge = np.linalg.solve(A + phi.T @ phi / 0.8, phi.T @ d.y[:, 0] / 0.8)
+        theta = engine_map(d, np.eye(spec.r), 0.0, 2.5, K, sigma, spec)
+        np.testing.assert_allclose(theta, ridge, rtol=1e-9)
 
     def test_identity_weights_gives_multiplicity_diagonal(self):
         T = 7
         spec = make_hankel_spec(T, 1, 1)
-        lam1, lam2 = 3.0, 1e-9
-        A = a_matrix(np.eye(spec.r), lam1, lam2, np.eye(T), spec)
         mult = np.array([min(k, T - k + 1, spec.r, spec.c) for k in range(1, T + 1)])
-        np.testing.assert_allclose(A, lam1 * np.diag(mult), atol=1e-6)
+        R = rank_penalty_matrix(np.eye(spec.r), spec)
+        np.testing.assert_allclose(R, np.diag(mult), atol=1e-12)
 
     def test_validation(self):
         spec = make_hankel_spec(4, 1, 1)
+        d = Dataset(u=np.arange(10.0), y=np.ones(10))
+        args = (np.eye(4), np.array([1.0]), spec)
         with pytest.raises(ValueError):
-            a_matrix(np.eye(spec.r), -1.0, 1.0, np.eye(4), spec)
+            ssr_negative_log_ml(d, np.eye(spec.r), -1.0, 1.0, *args)
         with pytest.raises(ValueError):
-            a_matrix(np.eye(spec.r), 1.0, 0.0, np.eye(4), spec)
+            ssr_negative_log_ml(d, np.eye(spec.r), 1.0, 0.0, *args)
 
 
 class TestMapEstimate:
@@ -111,7 +121,7 @@ class TestMapEstimate:
         y = rng.standard_normal((N, 1))
         d = Dataset(u=u, y=y)
         sigma = np.array([1.0])
-        theta = map_estimate(d, 1e-10 * np.eye(T), sigma).theta
+        theta = map_from_precision(d, 1e-10 * np.eye(T), sigma)
         phi = regressor_block(u, T)
         ls, *_ = np.linalg.lstsq(phi, y[:, 0], rcond=None)
         np.testing.assert_allclose(theta, ls, atol=1e-6)
@@ -119,8 +129,8 @@ class TestMapEstimate:
     def test_zero_observations_give_zero(self):
         rng = np.random.default_rng(4)
         d = Dataset(u=rng.standard_normal((30, 1)), y=np.zeros((30, 2)))
-        ir = map_estimate(d, np.eye(2 * 5), np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(ir.theta, np.zeros(10))
+        theta = map_from_precision(d, np.eye(2 * 5), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(theta, np.zeros(10))
 
     def test_matches_augmented_least_squares_oracle(self):
         rng = np.random.default_rng(5)
@@ -134,15 +144,8 @@ class TestMapEstimate:
             d = Dataset(u=u, y=y)
             sigma = rng.uniform(0.2, 3.0, size=p)
             A = _random_pd(rng, T * m * p)
-            got = map_estimate(d, A, sigma).theta
-            phi = regressor_block(u, T)
-            Phi_bar = linalg.block_diag(*[phi / math.sqrt(s) for s in sigma])
-            Y_bar = np.concatenate([y[:, i] / math.sqrt(s) for i, s in enumerate(sigma)])
-            # minimize ||Y - Phi th||^2 + th' A th via the stacked system
-            R = np.linalg.cholesky(A).T
-            X = np.vstack([Phi_bar, R])
-            z = np.concatenate([Y_bar, np.zeros(A.shape[0])])
-            oracle, *_ = np.linalg.lstsq(X, z, rcond=None)
+            got = map_from_precision(d, A, sigma)
+            oracle = stacked_ls(d, A, sigma, T)
             np.testing.assert_allclose(got, oracle, rtol=1e-8, atol=1e-10)
 
     def test_is_strict_minimizer(self):
@@ -153,7 +156,7 @@ class TestMapEstimate:
         d = Dataset(u=u, y=y)
         sigma = np.array([0.5, 1.5])
         A = _random_pd(rng, T * p)
-        theta_hat = map_estimate(d, A, sigma).theta
+        theta_hat = map_from_precision(d, A, sigma)
         phi = regressor_block(u, T)
 
         def objective(th):
@@ -178,7 +181,7 @@ class TestMapEstimate:
         d = Dataset(u=u, y=y)
         sigma = np.array([0.7, 1.3])
         A = _random_pd(rng, T * p)
-        got = map_estimate(d, A, sigma).theta
+        got = map_from_precision(d, A, sigma)
         phi = regressor_block(u, T)
         Phi = linalg.block_diag(*([phi] * p))
         A_inv = np.linalg.inv(A)
@@ -240,7 +243,7 @@ class TestSsrNegativeLogMl:
         d, spec, K, sigma, Q = self._setup(9, N=3, T=2)
         for lam1, lam2 in [(0.5, 1.0), (4.0, 0.2)]:
             a = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec)
-            b = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec, method="dense")
+            b = dense_evidence(d, precision(Q, lam1, lam2, K, spec), sigma, spec.T)
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_random_instances_match_dense(self):
@@ -251,18 +254,8 @@ class TestSsrNegativeLogMl:
             d, spec, K, sigma, Q = self._setup(100 + seed, N=N, p=p, T=int(rng.integers(3, 7)))
             lam1, lam2 = float(rng.uniform(0, 5)), float(rng.uniform(0.1, 3))
             a = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec)
-            b = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec, method="dense")
+            b = dense_evidence(d, precision(Q, lam1, lam2, K, spec), sigma, spec.T)
             assert a == pytest.approx(b, rel=1e-8)
-
-    def test_dense_path_rejects_large_instances(self):
-        rng = np.random.default_rng(11)
-        d = Dataset(u=rng.standard_normal((600, 1)), y=rng.standard_normal((600, 1)))
-        spec = make_hankel_spec(4, 1, 1)
-        with pytest.raises(ValueError):
-            ssr_negative_log_ml(
-                d, np.eye(spec.r), 1.0, 1.0, np.eye(4), np.array([1.0]), spec,
-                method="dense",
-            )
 
     def test_evidence_increases_away_from_lambda2_optimum(self):
         d, spec, K, sigma, Q = self._setup(12, N=60, T=5)
@@ -271,6 +264,41 @@ class TestSsrNegativeLogMl:
         up = ws.nll(None, 0.0, lam2_star * 10)
         down = ws.nll(None, 0.0, lam2_star / 10)
         assert up > nll_star and down > nll_star
+
+
+class TestWorkspace:
+    def _workspace(self):
+        rng = np.random.default_rng(30)
+        d = Dataset(u=rng.standard_normal((40, 1)), y=rng.standard_normal((40, 2)))
+        spec = make_hankel_spec(6, 2, 1)
+        km = KernelModel(order=1, T=6, p=2, m=1, alphas=[0.8, 0.7], scales=[1.0, 2.0])
+        ws = _Workspace(d, assemble_prior(km), np.array([0.5, 1.5]), spec)
+        return ws, ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * 2), spec))
+
+    def test_one_factorization_per_probe(self, monkeypatch):
+        # one dim x dim Cholesky per lambda1 > 0 probe, none with the penalty off
+        ws, ranked = self._workspace()
+        calls = []
+        for module, name in [(np.linalg, "cholesky"), (linalg, "cholesky"), (linalg, "cho_factor")]:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        ws.nll(ranked, 0.3, 1.2)
+        assert len(calls) == 1
+        ws.nll(None, 0.0, 1.2)
+        ws.map(None, 0.0, 1.2)
+        assert len(calls) == 1
+
+    def test_nonpositive_prior_is_a_failed_probe(self):
+        ws, ranked = self._workspace()
+        with pytest.raises(np.linalg.LinAlgError):
+            ws.nll(ranked, 1.0, -1e6)
+        with pytest.raises(np.linalg.LinAlgError):
+            ws.nll(None, 0.0, -1.0)
 
 
 class TestOptimizeLambdas:
@@ -305,11 +333,11 @@ class TestOptimizeLambdas:
             ws = _Workspace(d, K, ss.sigma, spec)
             lam2_star, nll0 = _l2_only_lambda2(ws)
             Q = update_q(ss.ir, spec, N)
-            RQ = rank_penalty_matrix(Q, spec)
+            rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
             best = nll0
             for g1 in [1e-8, 1e-4, 1e-2, 1e-1, 1.0, 10.0, 1e2]:
                 for g2 in [0.01, 0.1, 0.3, 1.0, 3.0]:
-                    best = min(best, ws.nll(RQ, g1, lam2_star * g2))
+                    best = min(best, ws.nll(rp, g1, lam2_star * g2))
             return nll0 - best
 
         rng = np.random.default_rng(14)
@@ -464,8 +492,18 @@ class TestSsrFit:
         K = assemble_prior(res.ss.kernel)
         ws = _Workspace(d, K, res.sigma, res.spec)
         lam2_star, _ = _l2_only_lambda2(ws)
-        oracle = map_estimate(d, lam2_star * np.linalg.inv(K), res.sigma)
-        np.testing.assert_allclose(res.ir.theta, oracle.theta, rtol=1e-4, atol=1e-8)
+        oracle = stacked_ls(d, lam2_star * np.linalg.inv(K), res.sigma, T)
+        np.testing.assert_allclose(res.ir.theta, oracle, rtol=1e-4, atol=1e-8)
+
+    def test_too_short_record_rejected_before_baseline(self, monkeypatch):
+        def no_baseline(*args, **kwargs):
+            raise AssertionError("baseline fitted before the sample-count check")
+
+        monkeypatch.setattr("hankelssr.estimators.ssr.ss_estimate", no_baseline)
+        rng = np.random.default_rng(25)
+        d = Dataset(u=rng.standard_normal(15), y=rng.standard_normal(15))
+        with pytest.raises(ValueError, match="ssr needs at least 16 samples, got 15"):
+            ssr_fit(d, 4, 1)
 
     def test_final_lambda2_respects_floor(self):
         T, N = 8, 150
