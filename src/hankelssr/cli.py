@@ -94,7 +94,11 @@ def _config_from_args(args, runs: int) -> ScenarioConfig:
 
 
 def cmd_simulate(args) -> int:
-    config = _config_from_args(args, runs=args.runs)
+    try:
+        config = _config_from_args(args, runs=args.runs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -180,14 +184,16 @@ def cmd_estimate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     estimators = [name.strip() for name in args.estimators.split(",") if name.strip()]
-    config = _config_from_args(args, runs=args.runs)
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        config = _config_from_args(args, runs=args.runs)
         estimators = harness.validate_estimators(estimators, config.scenario)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    reports = harness.run_study(config, estimators, workers=max(args.workers, 1))
+    reports = harness.run_study(config, estimators, workers=args.workers)
     summary = harness.aggregate(reports) if any(rep.fits for rep in reports) else {}
     out = Path(args.out)
     try:

@@ -103,7 +103,6 @@ class SsrOptions:
     lambda2_max: float = 1e6
     lambda2_floor_ratio: float = 1e-3
     nm_budget: int = 200
-    ss_budget: int = 200
 
 
 @dataclass
@@ -474,12 +473,16 @@ def ssr_fit(
     T: int,
     order: int = 1,
     options: SsrOptions | None = None,
+    baseline: SsResult | None = None,
 ) -> SsrResult:
     """Full fit: baseline warm start, then the block-coordinate loop.
 
     The smoothness-only baseline tunes the kernel, provides the noise
-    variances (from its residuals) and seeds the first bound matrix.  The
-    loop then alternates: tune (lambda1, lambda2) by evidence minimization
+    variances (from its residuals) and seeds the first bound matrix.  It is
+    ``ss_estimate(d, order, T)``, or ``baseline`` when the caller has already
+    fitted that on the same data (a fit with another budget, for instance,
+    is ``baseline=ss_estimate(d, order, T, budget=...)``).  The loop then
+    alternates: tune (lambda1, lambda2) by evidence minimization
     for the current bound matrix, recompute the closed-form coefficient
     estimate those hyperparameters induce, and refresh the bound matrix
     from its Hankel singular structure.  Iteration stops as soon as the
@@ -490,8 +493,15 @@ def ssr_fit(
     """
     if d.n < MIN_SAMPLES:
         raise ValueError(f"ssr needs at least {MIN_SAMPLES} samples, got {d.n}")
+    if baseline is not None:
+        km = baseline.kernel
+        for name, fitted, given in (
+            ("order", km.order, order), ("T", km.T, T), ("p", km.p, d.p), ("m", km.m, d.m)
+        ):
+            if fitted != given:
+                raise ValueError(f"baseline was fitted for {name}={fitted}, got {name}={given}")
     opts = options or SsrOptions()
-    ss_res = ss_estimate(d, order, T, budget=opts.ss_budget)
+    ss_res = baseline if baseline is not None else ss_estimate(d, order, T)
     K = assemble_prior(ss_res.kernel)
     sigma = ss_res.sigma
 

@@ -3,17 +3,21 @@ scenario runs, collects per-run fit values and aggregates boxplot summaries."""
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .estimators.atom import atom_estimate
-from .estimators.ss import ss_estimate
+from .estimators.ss import SsResult, ss_estimate
 from .estimators.ssr import SsrOptions, ssr_fit
 from .simulation import ScenarioConfig, fit_metric, make_scenario_data
 
@@ -64,6 +68,44 @@ class RunReport:
     errors: dict = field(default_factory=dict)
 
 
+@functools.cache
+def _openblas() -> dict:
+    """{package: (get, set)} thread-count entry points of the OpenBLAS that
+    numpy and scipy each bundle, for those loaded in this process.
+
+    The two builds keep separate thread pools, so a limit has to reach both.
+    Builds that are not the bundled wheels' (another BLAS, or none found)
+    are left alone.
+    """
+    found = {}
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:  # RTLD_NOLOAD: only a library the package already loaded
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found[pkg.__name__] = (get, set_)
+            break
+    return found
+
+
+def blas_threads(limit: int | dict | None = None) -> dict[str, int]:
+    """Thread counts of the OpenBLAS builds of numpy and scipy, keyed by
+    package, as they were before this call.  With ``limit``, set every build
+    to that count, or each to its entry in a dict returned earlier."""
+    counts = {}
+    for pkg, (get, set_) in _openblas().items():
+        counts[pkg] = get()
+        if limit is not None:
+            set_(limit[pkg] if isinstance(limit, dict) else limit)
+    return counts
+
+
 def run_seed(master_seed: int, scenario: str, run_index: int) -> np.random.SeedSequence:
     """Independent per-run seed derived from (master seed, scenario, run)."""
     return np.random.SeedSequence([int(master_seed), _SCENARIO_CODES[scenario], int(run_index)])
@@ -79,16 +121,20 @@ def validate_estimators(names, scenario: str) -> list[str]:
     return names
 
 
-def _fit_one(name: str, dataset, config: ScenarioConfig):
-    """Returns (impulse response, ssr-style info dict or empty)."""
+def _fit_one(name: str, dataset, config: ScenarioConfig, baseline: SsResult | None):
+    """Returns (impulse response, ssr-style info dict or empty, the ss
+    baseline this fit made or None).  ``baseline`` is an ss fit of the same
+    run, reused as the ssr warm start."""
     if name == "ss":
-        return ss_estimate(dataset, config.kernel_order, config.t).ir, {}
+        res = ss_estimate(dataset, config.kernel_order, config.t)
+        return res.ir, {}, res
     if name in ("ssr", "ssr-weighted"):
         res = ssr_fit(
             dataset,
             config.t,
             config.kernel_order,
             SsrOptions(weighted=(name == "ssr-weighted")),
+            baseline=baseline,
         )
         last = res.trace[-1]
         return res.ir, {
@@ -96,31 +142,37 @@ def _fit_one(name: str, dataset, config: ScenarioConfig):
             "lambda1": float(last.hyper.lambda1),
             "lambda2": float(last.hyper.lambda2),
             "nll": float(last.nll),
-        }
+        }, res.ss
     if name == "atom":
         if dataset.p != 1 or dataset.m != 1:
             raise ValueError("atom estimator is SISO only")
-        return atom_estimate(dataset, config.t).ir, {}
+        return atom_estimate(dataset, config.t).ir, {}, None
     raise ValueError(f"unknown estimator {name!r}")
 
 
 def run_single(config: ScenarioConfig, run_index: int, estimators) -> RunReport:
-    """Generate one run (system, input, noise) and fit every estimator on it."""
+    """Generate one run (system, input, noise) and fit every estimator on it.
+
+    The ss baseline is fitted once per run: the first ss or ssr fit makes
+    it and later ssr fits start from it, so their wall_ms leaves it out."""
     seq = run_seed(config.seed, config.scenario, run_index)
     seed_int = int(seq.generate_state(1, np.uint32)[0])
     system_seed, noise_seed = seq.spawn(2)
     system, dataset = make_scenario_data(config, system_seed, noise_seed)
     truth = system.impulse_response(config.t)
     report = RunReport(scenario=config.scenario, run=run_index, seed=seed_int)
+    baseline = None
     for name in estimators:
         start = time.perf_counter()
         try:
-            ir, info = _fit_one(name, dataset, config)
+            ir, info, made = _fit_one(name, dataset, config, baseline)
         except Exception as exc:  # keep the study going; record the failure
             log.warning("run %d estimator %s failed: %r", run_index, name, exc)
             report.errors[name] = repr(exc)
             continue
         report.wall_ms[name] = 1000.0 * (time.perf_counter() - start)
+        if baseline is None:
+            baseline = made
         report.fits[name] = fit_metric(ir, truth)
         if info:
             report.iters[name] = info["iters"]
@@ -136,13 +188,26 @@ def _run_single_star(args) -> RunReport:
 
 def run_study(config: ScenarioConfig, estimators, workers: int = 1) -> list[RunReport]:
     """All runs of a study; bit-identical results for a fixed master seed
-    regardless of worker count (each run derives its own seed)."""
+    regardless of worker count (each run derives its own seed).
+
+    Every run computes with one BLAS thread per process, on both paths: the
+    study's matrices are too small to gain from more, extra threads fight
+    the workers for the cores, and OpenBLAS rounds differently with one
+    thread than with several.  The caller's thread counts are restored.
+    """
     estimators = validate_estimators(estimators, config.scenario)
     jobs = [(config, k, estimators) for k in range(config.runs)]
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        reports = [run_single(*job) for job in jobs]
+        saved = blas_threads(1)
+        try:
+            reports = [run_single(*job) for job in jobs]
+        finally:
+            blas_threads(saved)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=blas_threads, initargs=(1,)
+        ) as pool:
             reports = list(pool.map(_run_single_star, jobs))
     return sorted(reports, key=lambda rep: rep.run)
 

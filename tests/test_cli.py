@@ -243,3 +243,26 @@ class TestBenchmarkCommand:
     def test_bad_flags_exit_usage(self):
         assert main(["benchmark", "--scenario", "s7"]) == 3
         assert main(["nonsense"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--runs", "0"], "n, t and runs must be positive"),
+            (["--n", "0"], "n, t and runs must be positive"),
+            (["--t", "1"], "n, t and runs must be positive"),
+            (["--workers", "0"], "--workers must be at least 1, got 0"),
+            (["--workers", "-2"], "--workers must be at least 1, got -2"),
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, tmp_path, capsys, flags, message):
+        code = main(["benchmark", "--scenario", "s3", "--out", str(tmp_path), *flags])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert message in err
+        assert not any(tmp_path.iterdir())
+
+    def test_simulate_out_of_range_runs_is_usage_error(self, tmp_path, capsys):
+        code = main(["simulate", "--scenario", "s3", "--runs", "0", "--out", str(tmp_path)])
+        assert code == 3
+        assert "n, t and runs must be positive" in capsys.readouterr().err

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import hankelssr.harness as H
+from hankelssr.estimators.ss import ss_estimate
 from hankelssr.harness import (
     RunReport,
     aggregate,
+    blas_threads,
     completeness,
     run_seed,
     run_single,
@@ -58,11 +61,65 @@ class TestRunStudy:
             assert ra.seed == rb.seed
 
     def test_worker_count_does_not_change_results(self):
-        cfg = _tiny_config(runs=3)
-        serial = run_study(cfg, ["ss"], workers=1)
-        parallel = run_study(cfg, ["ss"], workers=2)
-        for rs, rp in zip(serial, parallel):
-            assert rs.fits == rp.fits
+        # The s1-sized study (p=3, T=80, N=500) is large enough for OpenBLAS
+        # to thread, so it differs unless both paths use one BLAS thread.
+        studies = [
+            (_tiny_config(runs=3), ["ss"]),
+            (ScenarioConfig.default("s1", runs=2, seed=1), ["ss", "ssr"]),
+        ]
+        for cfg, names in studies:
+            serial = run_study(cfg, names, workers=1)
+            parallel = run_study(cfg, names, workers=2)
+            for rs, rp in zip(serial, parallel):
+                assert rs.fits == rp.fits
+                for cells in ("iters", "lambda1", "lambda2", "nll"):
+                    assert getattr(rs, cells) == getattr(rp, cells)
+
+    def test_one_blas_thread_per_study_process(self, monkeypatch):
+        if not blas_threads():
+            pytest.skip("neither numpy nor scipy bundles OpenBLAS here")
+        caller = blas_threads(2)
+        try:
+            # forked workers inherit the patched run_single
+            monkeypatch.setattr(
+                H, "run_single", lambda config, k, names: RunReport(
+                    config.scenario, k, 0, fits=blas_threads())
+            )
+            cfg = _tiny_config(runs=3)
+            for workers in (1, 2):
+                reports = run_study(cfg, ["ss"], workers=workers)
+                for rep in reports:
+                    assert set(rep.fits) == {"numpy", "scipy"}
+                    assert set(rep.fits.values()) == {1}
+                assert blas_threads() == {"numpy": 2, "scipy": 2}
+
+            def fail(config, k, names):
+                raise RuntimeError("synthetic failure")
+
+            monkeypatch.setattr(H, "run_single", fail)
+            with pytest.raises(RuntimeError):
+                run_study(cfg, ["ss"], workers=1)
+            assert blas_threads() == {"numpy": 2, "scipy": 2}
+        finally:
+            blas_threads(caller)
+
+    def test_ssr_reuses_the_runs_ss_fit_exactly(self, monkeypatch):
+        cfg = _tiny_config(n=150, t=8)
+        alone = {name: run_single(cfg, 0, [name]) for name in ("ssr", "ssr-weighted")}
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return ss_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(H, "ss_estimate", counted)
+        monkeypatch.setattr("hankelssr.estimators.ssr.ss_estimate", counted)
+        shared = run_single(cfg, 0, ["ss", "ssr", "ssr-weighted"])
+        assert len(calls) == 1  # both ssr fits start from the run's ss fit
+        for name, own in alone.items():
+            assert shared.fits[name] == own.fits[name]
+            for cells in ("iters", "lambda1", "lambda2", "nll"):
+                assert getattr(shared, cells)[name] == getattr(own, cells)[name]
 
     def test_smoke_with_ssr_trace(self):
         cfg = _tiny_config(runs=2, n=150, t=8)
@@ -82,9 +139,7 @@ class TestRunStudy:
         assert validate_estimators(["ss", "atom"], "s3") == ["ss", "atom"]
 
     def test_failures_recorded_not_raised(self, monkeypatch):
-        import hankelssr.harness as H
-
-        def boom(name, dataset, config):
+        def boom(name, dataset, config, baseline):
             raise np.linalg.LinAlgError("synthetic failure")
 
         monkeypatch.setattr(H, "_fit_one", boom)

@@ -15,6 +15,7 @@ from hankelssr import (
     optimize_lambdas,
     predict_outputs,
     rank_penalty_matrix,
+    ss_estimate,
     ssr_fit,
     ssr_negative_log_ml,
     update_q,
@@ -504,6 +505,45 @@ class TestSsrFit:
         d = Dataset(u=rng.standard_normal(15), y=rng.standard_normal(15))
         with pytest.raises(ValueError, match="ssr needs at least 16 samples, got 15"):
             ssr_fit(d, 4, 1)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_precomputed_baseline_gives_the_same_fit(self, monkeypatch, weighted):
+        T, N = 10, 200
+        decay = 0.8 ** np.arange(1, T + 1)
+        theta = np.concatenate([decay, -0.5 * decay])
+        d, _ = _dataset_from_theta(theta, 2, 1, T, N, seed=26, noise_std=0.3)
+        opts = SsrOptions(weighted=weighted)
+        own = ssr_fit(d, T, 1, opts)
+        baseline = ss_estimate(d, 1, T)
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("ssr_fit refitted the baseline it was given")
+
+        monkeypatch.setattr("hankelssr.estimators.ssr.ss_estimate", no_refit)
+        reused = ssr_fit(d, T, 1, opts, baseline=baseline)
+        assert reused.ss is baseline
+        np.testing.assert_array_equal(reused.ir.theta, own.ir.theta)
+        assert [s.nll for s in reused.trace] == [s.nll for s in own.trace]
+        assert [(s.hyper.lambda1, s.hyper.lambda2) for s in reused.trace] == [
+            (s.hyper.lambda1, s.hyper.lambda2) for s in own.trace
+        ]
+
+    def test_mismatched_baseline_rejected(self):
+        T, N = 8, 150
+        decay = 0.6 ** np.arange(1, T + 1)
+        siso, _ = _dataset_from_theta(decay, 1, 1, T, N, seed=27, noise_std=0.2)
+        mimo, _ = _dataset_from_theta(np.tile(decay, 2), 2, 1, T, N, seed=28, noise_std=0.2)
+        two_in, _ = _dataset_from_theta(np.tile(decay, 2), 1, 2, T, N, seed=29, noise_std=0.2)
+        baseline = ss_estimate(siso, 1, T)
+        cases = [
+            (siso, T, 2, "order=1, got order=2"),
+            (siso, T + 2, 1, f"T={T}, got T={T + 2}"),
+            (mimo, T, 1, "p=1, got p=2"),
+            (two_in, T, 1, "m=1, got m=2"),
+        ]
+        for d, t, order, message in cases:
+            with pytest.raises(ValueError, match=f"baseline was fitted for {message}"):
+                ssr_fit(d, t, order, baseline=baseline)
 
     def test_final_lambda2_respects_floor(self):
         T, N = 8, 150
