@@ -14,13 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
-from .core import Dataset, read_dataset_csv, write_dataset_csv
-from .estimators.atom import atom_estimate
-from .estimators.ss import ss_estimate
-from .estimators.ssr import SsrOptions, estimate_to_json, ssr_fit
+from .core import read_dataset_csv, write_dataset_csv
 from .simulation import (
     SCENARIO_DEFAULTS,
     ScenarioConfig,
@@ -60,12 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="fit one estimator on a dataset CSV")
     est.add_argument("--data", required=True, help="dataset CSV path")
-    est.add_argument(
-        "--estimator", required=True, choices=["ss", "ssr", "ssr-weighted", "atom"]
-    )
+    est.add_argument("--estimator", required=True, choices=harness.ESTIMATORS)
     est.add_argument("--t", type=int, help="truncation length (else from system JSON)")
     est.add_argument("--kernel-order", type=int, choices=[1, 2], default=1)
-    est.add_argument("--weighted", action="store_true", help="weighted Hankel variant")
     est.add_argument("--out", help="output directory (default: beside the data)")
 
     bench = sub.add_parser("benchmark", help="run a Monte Carlo study")
@@ -123,6 +115,28 @@ def _resolve_truth(data_path: Path):
     return None
 
 
+def estimate_to_json(res) -> dict:
+    """Portable estimate document: dimensions, coefficients, and the iterate
+    trace and noise variances of the estimators that have them (else empty)."""
+    ir = res.ir
+    return {
+        "p": ir.p,
+        "m": ir.m,
+        "T": ir.T,
+        "theta": [float(v) for v in ir.theta],
+        "trace": [
+            {
+                "k": s.k,
+                "lambda1": float(s.hyper.lambda1),
+                "lambda2": float(s.hyper.lambda2),
+                "nll": float(s.nll),
+            }
+            for s in getattr(res, "trace", [])
+        ],
+        "sigma": [float(v) for v in getattr(res, "sigma", [])],
+    }
+
+
 def cmd_estimate(args) -> int:
     data_path = Path(args.data)
     try:
@@ -136,49 +150,45 @@ def cmd_estimate(args) -> int:
 
     truth_path = _resolve_truth(data_path)
     T = args.t
-    truth = None
+    system = None
     if truth_path is not None:
-        system, truth_T = read_system_json(truth_path)
-        truth = system.impulse_response
+        try:
+            system, truth_T = read_system_json(truth_path)
+            if (system.p, system.m) != (dataset.p, dataset.m):
+                raise ValueError(
+                    f"system has p={system.p}, m={system.m} "
+                    f"but the dataset has p={dataset.p}, m={dataset.m}"
+                )
+        except OSError as exc:
+            print(f"error: cannot read system JSON: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ValueError as exc:  # malformed JSON too
+            print(f"error: {truth_path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if T is None:
             T = truth_T
     if T is None:
         print("error: --t required (no co-located system JSON)", file=sys.stderr)
         return EXIT_USAGE
 
-    name = args.estimator
-    if name == "atom" and (dataset.p != 1 or dataset.m != 1):
-        print("error: ATOM is SISO-only", file=sys.stderr)
-        return EXIT_USAGE
-
-    sigma = None
-    trace = None
     try:
-        if name == "ss":
-            res = ss_estimate(dataset, args.kernel_order, T)
-            ir, sigma = res.ir, res.sigma
-        elif name in ("ssr", "ssr-weighted"):
-            weighted = args.weighted or name == "ssr-weighted"
-            res = ssr_fit(dataset, T, args.kernel_order, SsrOptions(weighted=weighted))
-            ir, sigma, trace = res.ir, res.sigma, res.trace
-        else:
-            ir = atom_estimate(dataset, T).ir
+        res = harness.fit_estimator(args.estimator, dataset, T, args.kernel_order)
     except ValueError as exc:  # the data do not meet the estimator's preconditions
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     out_dir = Path(args.out) if args.out else data_path.parent
     stem = data_path.stem.replace("_data", "")
-    out_path = out_dir / f"{stem}_{name}_estimate.json"
+    out_path = out_dir / f"{stem}_{args.estimator}_estimate.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(json.dumps(estimate_to_json(ir, sigma, trace), indent=2))
+        out_path.write_text(json.dumps(estimate_to_json(res), indent=2))
     except OSError as exc:
         print(f"error: cannot write estimate: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {out_path}")
-    if truth is not None:
-        print(f"fit {fit_metric(ir, truth(T))!r}")
+    if system is not None:
+        print(f"fit {fit_metric(res.ir, system.impulse_response(T))!r}")
     return EXIT_OK
 
 

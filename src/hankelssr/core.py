@@ -327,16 +327,20 @@ def numerical_rank(mat_or_sv: np.ndarray, rel_tol: float = 1e-8) -> int:
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def chol_psd(M: np.ndarray, jitter: float = 1e-12, max_tries: int = 7) -> np.ndarray:
+CHOL_JITTER = 1e-12  # first diagonal bump, relative to the mean diagonal; x100 per retry
+CHOL_TRIES = 7
+
+
+def chol_psd(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, escalating a relative jitter for PSD inputs."""
     M = np.asarray(M, dtype=float)
     scale = max(float(np.trace(M)) / M.shape[0], np.finfo(float).tiny)
     bump = 0.0
-    for _ in range(max_tries):
+    for _ in range(CHOL_TRIES):
         try:
             return np.linalg.cholesky(M + bump * np.eye(M.shape[0]) if bump else M)
         except np.linalg.LinAlgError:
-            bump = jitter * scale if bump == 0.0 else bump * 100.0
+            bump = CHOL_JITTER * scale if bump == 0.0 else bump * 100.0
     raise np.linalg.LinAlgError("matrix not positive definite even after jitter")
 
 
@@ -359,7 +363,11 @@ def write_dataset_csv(d: Dataset, path) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Inverse of write_dataset_csv; channel counts come from the header."""
+    """Inverse of write_dataset_csv; channel counts come from the header.
+
+    A row with the wrong number of fields or a cell that is not a number is
+    a ValueError naming its line and column.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -370,7 +378,13 @@ def read_dataset_csv(path) -> Dataset:
     p = sum(1 for h in header if h.startswith("y"))
     if header[0] != "t" or m < 1 or p < 1 or len(header) != 1 + m + p:
         raise ValueError(f"{path}: expected header t,u1..um,y1..yp")
-    body = rows[1:]
-    u = np.array([[float(v) for v in row[1 : 1 + m]] for row in body])
-    y = np.array([[float(v) for v in row[1 + m :]] for row in body])
-    return Dataset(u=u, y=y)
+    values = np.empty((len(rows) - 1, m + p))
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line} has {len(row)} fields, expected {len(header)}")
+        for j, (name, cell) in enumerate(zip(header[1:], row[1:])):
+            try:
+                values[line - 2, j] = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: {name} on line {line} is {cell!r}") from None
+    return Dataset(u=values[:, :m], y=values[:, m:])

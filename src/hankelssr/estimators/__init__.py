@@ -11,7 +11,6 @@ from .ssr import (
     SsrOptions,
     SsrResult,
     SsrState,
-    estimate_to_json,
     optimize_lambdas,
     rank_penalty_matrix,
     ssr_fit,
@@ -19,7 +18,7 @@ from .ssr import (
     update_q,
     variational_bound_check,
 )
-from .atom import AtomDictionary, atom_dictionary, atom_estimate, lasso_kkt_residual
+from .atom import AtomDictionary, AtomResult, atom_dictionary, atom_estimate, lasso_kkt_residual
 
 __all__ = [
     "SsResult",
@@ -30,7 +29,6 @@ __all__ = [
     "SsrOptions",
     "SsrResult",
     "SsrState",
-    "estimate_to_json",
     "optimize_lambdas",
     "rank_penalty_matrix",
     "ssr_fit",
@@ -38,6 +36,7 @@ __all__ = [
     "update_q",
     "variational_bound_check",
     "AtomDictionary",
+    "AtomResult",
     "atom_dictionary",
     "atom_estimate",
     "lasso_kkt_residual",

@@ -25,6 +25,12 @@ log = logging.getLogger("hankelssr.atom")
 POLE_RADII = np.concatenate([np.round(0.41 + 0.02 * np.arange(30), 10), [0.995, 0.999]])
 POLE_ANGLES = np.pi / 30.0 * np.arange(1, 30)
 
+# Hold-out selection of mu and the final solve's stopping rule (see atom_estimate).
+N_GRID = 20
+HOLDOUT = 0.25
+MAX_SWEEPS = 300
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class AtomDictionary:
@@ -76,12 +82,7 @@ def _soft(z: float, gamma: float) -> float:
 
 
 def _lasso_cd(
-    G: np.ndarray,
-    c: np.ndarray,
-    mu: float,
-    w0: np.ndarray | None = None,
-    max_sweeps: int = 300,
-    tol: float = 1e-6,
+    G: np.ndarray, c: np.ndarray, mu: float, w0: np.ndarray | None, max_sweeps: int, tol: float
 ) -> np.ndarray:
     """min_w ||y - Xw||^2 + mu ||w||_1 given G = X'X and c = X'y.
 
@@ -162,24 +163,16 @@ class AtomResult:
     holdout_errors: np.ndarray
 
 
-def atom_estimate(
-    d: Dataset,
-    T: int,
-    n_grid: int = 20,
-    mu: float | None = None,
-    holdout: float = 0.25,
-    max_sweeps: int = 300,
-    tol: float = 1e-6,
-) -> AtomResult:
+def atom_estimate(d: Dataset, T: int, mu: float | None = None) -> AtomResult:
     """Fit a SISO response as a sparse combination of dictionary atoms.
 
-    When ``mu`` is not given it is chosen from a 20-point log grid spanning
-    four decades below the smallest fully-shrinking value, scored by
-    prediction error on the last ``holdout`` fraction of samples; the final
+    When ``mu`` is not given it is chosen from an N_GRID-point log grid
+    spanning four decades below the smallest fully-shrinking value, scored
+    by prediction error on the last HOLDOUT fraction of samples; the final
     coefficients are refit on all data with the selected weight.  That
-    final solve stops at the KKT tolerance ``tol`` or after ``max_sweeps``
-    passes, whichever comes first; ``AtomResult.kkt`` reports the residual
-    it reached.
+    final solve stops at the KKT tolerance TOL or after MAX_SWEEPS passes,
+    whichever comes first; ``AtomResult.kkt`` reports the residual it
+    reached.
     """
     if d.p != 1 or d.m != 1:
         raise ValueError("atomic estimator is SISO only (p = m = 1)")
@@ -192,7 +185,7 @@ def atom_estimate(
     mu_grid = np.array([])
     errors = np.array([])
     if mu is None:
-        split = max(N - int(round(holdout * N)), 1)
+        split = max(N - int(round(HOLDOUT * N)), 1)
         X_tr, y_tr = X[:split], y[:split]
         X_val, y_val = X[split:], y[split:]
         G_tr = X_tr.T @ X_tr
@@ -200,12 +193,12 @@ def atom_estimate(
         mu_max = 2.0 * float(np.abs(c_tr).max())
         if mu_max <= 0.0:
             mu_max = 1.0
-        mu_grid = mu_max * np.logspace(0, -4, n_grid)
-        errors = np.empty(n_grid)
+        mu_grid = mu_max * np.logspace(0, -4, N_GRID)
+        errors = np.empty(N_GRID)
         w = np.zeros(dictionary.n_atoms)
         for g, mu_g in enumerate(mu_grid):
             # approximate path solves are enough to score the hold-out
-            w = _lasso_cd(G_tr, c_tr, mu_g, w, max_sweeps=25, tol=max(tol, 1e-4))
+            w = _lasso_cd(G_tr, c_tr, mu_g, w, max_sweeps=25, tol=max(TOL, 1e-4))
             resid = y_val - X_val @ w
             errors[g] = float(resid @ resid)
         # sparsest weight whose error ties the minimum (grid is descending)
@@ -215,7 +208,7 @@ def atom_estimate(
 
     G = X.T @ X
     c = X.T @ y
-    w = _lasso_cd(G, c, mu, None, max_sweeps, tol)
+    w = _lasso_cd(G, c, mu, None, MAX_SWEEPS, TOL)
     theta = dictionary.atoms @ w
     kkt = lasso_kkt_residual(X, y, w, mu)
     return AtomResult(

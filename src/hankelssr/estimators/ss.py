@@ -125,9 +125,7 @@ def _moment_init(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, f
     return var_y / signal_gain, 0.25 * var_y
 
 
-def _fit_channel(
-    ch: _ChannelData, order: int, T: int, m: int, budget: int = NM_BUDGET
-) -> tuple[float, float, float, bool]:
+def _fit_channel(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, float, float, bool]:
     """Empirical-Bayes search for one output channel.
 
     Returns (alpha, scale, sigma, converged).  Nelder-Mead over
@@ -175,14 +173,14 @@ def _fit_channel(
         clipped(best_x),
         method="Nelder-Mead",
         bounds=bounds,
-        options={"maxfev": max(budget - evals - 60, 40), "xatol": 1e-4, "fatol": 1e-7},
+        options={"maxfev": max(NM_BUDGET - evals - 60, 40), "xatol": 1e-4, "fatol": 1e-7},
     )
     res2 = optimize.minimize(
         objective,
         clipped(res.x),
         method="Nelder-Mead",
         bounds=bounds,
-        options={"maxfev": max(budget - evals, 20), "xatol": 1e-5, "fatol": 1e-8},
+        options={"maxfev": max(NM_BUDGET - evals, 20), "xatol": 1e-5, "fatol": 1e-8},
     )
     x = res2.x if res2.fun <= res.fun else res.x
     fun = min(res.fun, res2.fun)
@@ -193,18 +191,8 @@ def _fit_channel(
     return alpha, 10.0 ** float(x[1]), 10.0 ** float(x[2]), converged
 
 
-def ss_estimate(
-    d: Dataset,
-    order: int,
-    T: int,
-    fixed: tuple[float, float, float] | None = None,
-    budget: int = NM_BUDGET,
-) -> SsResult:
-    """Baseline estimate: per-output empirical Bayes, then the posterior mean.
-
-    ``fixed = (alpha, scale, sigma)`` pins the hyperparameters of every
-    channel and skips the evidence search (useful for oracles and tests).
-    """
+def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
+    """Baseline estimate: per-output empirical Bayes, then the posterior mean."""
     phi = regressor_block(d.u, T)
     alphas = np.empty(d.p)
     scales = np.empty(d.p)
@@ -214,11 +202,8 @@ def ss_estimate(
     converged = True
     for i in range(d.p):
         ch = _ChannelData(phi, d.y[:, i])
-        if fixed is not None:
-            alphas[i], scales[i], eb_sigma[i] = fixed
-        else:
-            alphas[i], scales[i], eb_sigma[i], ok = _fit_channel(ch, order, T, d.m, budget)
-            converged &= ok
+        alphas[i], scales[i], eb_sigma[i], ok = _fit_channel(ch, order, T, d.m)
+        converged &= ok
         L = _gram_chol(order, alphas[i], T, d.m)
         nlls[i], posterior_mean = _channel_fit(ch, L, scales[i], eb_sigma[i])
         theta[i * T * d.m : (i + 1) * T * d.m] = posterior_mean()

@@ -47,12 +47,18 @@ __all__ = [
     "q_saturation",
     "variational_bound_check",
     "ssr_fit",
-    "estimate_to_json",
 ]
 
 log = logging.getLogger("hankelssr.ssr")
 
 MIN_SAMPLES = 16  # smallest N with log(log(N)) > 0 in the bound-matrix threshold
+
+# Penalty-weight search: lambda1's box, lambda2's upper bound, lambda2's floor
+# as a fraction of the smoothness-only optimum, and evaluations per search.
+LAMBDA1_BOUNDS = (1e-8, 1e6)
+LAMBDA2_MAX = 1e6
+LAMBDA2_FLOOR_RATIO = 1e-3
+NM_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -98,11 +104,6 @@ class SsrOptions:
 
     weighted: bool = False
     max_iter: int = 30
-    lambda1_fixed: float | None = None
-    lambda1_bounds: tuple[float, float] = (1e-8, 1e6)
-    lambda2_max: float = 1e6
-    lambda2_floor_ratio: float = 1e-3
-    nm_budget: int = 200
 
 
 @dataclass
@@ -306,41 +307,22 @@ def _tracked_minimize(objective, x0, bounds, budget):
 
 def _optimize_lambdas(
     ws: _Workspace,
-    rp: _RankPrior | None,
+    rp: _RankPrior,
     init: tuple[float, float],
     lambda2_floor: float,
-    opts: SsrOptions,
     extra_starts: tuple[tuple[float, float], ...] = (),
 ) -> tuple[float, float, float, bool]:
     """Search the penalty weights in log space; never returns a worse point
     than the initializer.  Returns (lambda1, lambda2, nll, kept_init)."""
+    l1_lo, l1_hi = (math.log10(b) for b in LAMBDA1_BOUNDS)
     l2_lo = math.log10(max(lambda2_floor, 1e-300))
-    l2_hi = math.log10(opts.lambda2_max)
-    failures = 0
+    l2_hi = math.log10(LAMBDA2_MAX)
 
     def safe_nll(lam1, lam2):
-        nonlocal failures
         try:
             return ws.nll(rp, lam1, lam2)
         except (np.linalg.LinAlgError, FloatingPointError):
-            failures += 1
             return np.inf
-
-    if opts.lambda1_fixed is not None:
-        lam1 = opts.lambda1_fixed
-
-        def objective(z):
-            return safe_nll(lam1, 10.0 ** float(z[0]))
-
-        x0 = [math.log10(max(init[1], lambda2_floor))]
-        x, f = _tracked_minimize(objective, x0, [(l2_lo, l2_hi)], opts.nm_budget)
-        if not np.isfinite(f):
-            log.warning("all lambda probes failed; keeping initializer")
-            return lam1, init[1], safe_nll(lam1, init[1]), True
-        return lam1, 10.0 ** float(x[0]), f, False
-
-    l1_lo = math.log10(opts.lambda1_bounds[0])
-    l1_hi = math.log10(opts.lambda1_bounds[1])
 
     def objective(z):
         return safe_nll(10.0 ** float(z[0]), 10.0 ** float(z[1]))
@@ -357,9 +339,7 @@ def _optimize_lambdas(
         for l1, l2 in starts
     ]
     x0 = min(logged, key=lambda z: objective(z))
-    x, f = _tracked_minimize(
-        objective, x0, [(l1_lo, l1_hi), (l2_lo, l2_hi)], opts.nm_budget
-    )
+    x, f = _tracked_minimize(objective, x0, [(l1_lo, l1_hi), (l2_lo, l2_hi)], NM_BUDGET)
     if not np.isfinite(f):
         log.warning("all lambda probes failed; keeping initializer")
         return init[0], init[1], safe_nll(*init), True
@@ -374,20 +354,18 @@ def optimize_lambdas(
     spec: HankelSpec,
     init: tuple[float, float],
     lambda2_floor: float | None = None,
-    options: SsrOptions | None = None,
 ) -> tuple[float, float]:
     """Tune (lambda1, lambda2) for a fixed bound matrix Q.
 
     The returned pair never scores worse than ``init``.  ``lambda2_floor``
-    defaults to lambda2_floor_ratio times the smoothness-only optimum.
+    defaults to LAMBDA2_FLOOR_RATIO times the smoothness-only optimum.
     """
-    opts = options or SsrOptions()
     ws = _Workspace(d, K, sigma, spec)
-    rp = ws.rank_prior(rank_penalty_matrix(Q, spec)) if opts.lambda1_fixed != 0 else None
+    rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
     if lambda2_floor is None:
         lam2_l2, _ = _l2_only_lambda2(ws)
-        lambda2_floor = opts.lambda2_floor_ratio * lam2_l2
-    lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor, opts)
+        lambda2_floor = LAMBDA2_FLOOR_RATIO * lam2_l2
+    lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor)
     return lam1, lam2
 
 
@@ -480,12 +458,10 @@ def ssr_fit(
     The smoothness-only baseline tunes the kernel, provides the noise
     variances (from its residuals) and seeds the first bound matrix.  It is
     ``ss_estimate(d, order, T)``, or ``baseline`` when the caller has already
-    fitted that on the same data (a fit with another budget, for instance,
-    is ``baseline=ss_estimate(d, order, T, budget=...)``).  The loop then
-    alternates: tune (lambda1, lambda2) by evidence minimization
-    for the current bound matrix, recompute the closed-form coefficient
-    estimate those hyperparameters induce, and refresh the bound matrix
-    from its Hankel singular structure.  Iteration stops as soon as the
+    fitted that on the same data.  The loop then alternates: tune (lambda1,
+    lambda2) by evidence minimization for the current bound matrix,
+    recompute the closed-form coefficient estimate those hyperparameters
+    induce, and refresh the bound matrix from its Hankel singular structure.  Iteration stops as soon as the
     evidence fails to strictly decrease (ties stop) or after max_iter; the
     returned coefficients are the closed-form estimate of the best-evidence
     hyperparameters found.  Any numerical failure inside the loop returns
@@ -516,7 +492,7 @@ def ssr_fit(
     messages: list[str] = []
 
     lam2_l2, _ = _l2_only_lambda2(ws)
-    floor = opts.lambda2_floor_ratio * lam2_l2
+    floor = LAMBDA2_FLOOR_RATIO * lam2_l2
 
     def make_state(k, lam1, lam2, Q, rp, nll) -> SsrState:
         theta = ImpulseResponse(p=d.p, m=d.m, T=T, theta=ws.map(rp, lam1, lam2))
@@ -524,21 +500,17 @@ def ssr_fit(
         return SsrState(k=k, theta=theta, hyper=hyper, nll=nll)
 
     Q = update_q(ss_res.ir, spec, d.n)
-    R_Q = rank_penalty_matrix(Q, spec) if opts.lambda1_fixed != 0 else None
-    rp = ws.rank_prior(R_Q) if R_Q is not None else None
+    R_Q = rank_penalty_matrix(Q, spec)
+    rp = ws.rank_prior(R_Q)
 
-    if opts.lambda1_fixed is not None:
-        init = (opts.lambda1_fixed, lam2_l2)
-        extras: tuple[tuple[float, float], ...] = ()
-    else:
-        # balance the two penalty traces as a starting magnitude for lambda1
-        tr_rank = float(np.trace(R_Q)) if R_Q is not None else 0.0
-        lam1_bal = lam2_l2 * ws.trace_k_inv() / max(tr_rank, 1e-300)
-        lam1_bal = min(max(lam1_bal, opts.lambda1_bounds[0]), opts.lambda1_bounds[1])
-        init = (lam1_bal, lam2_l2)
-        extras = ((lam1_bal * 1e-2, lam2_l2), (opts.lambda1_bounds[0], lam2_l2))
+    # balance the two penalty traces as a starting magnitude for lambda1
+    lam1_lo, lam1_hi = LAMBDA1_BOUNDS
+    lam1_bal = lam2_l2 * ws.trace_k_inv() / max(float(np.trace(R_Q)), 1e-300)
+    lam1_bal = min(max(lam1_bal, lam1_lo), lam1_hi)
+    init = (lam1_bal, lam2_l2)
+    extras = ((lam1_bal * 1e-2, lam2_l2), (lam1_lo, lam2_l2))
 
-    lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, opts, extras)
+    lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, extras)
     if kept:
         messages.append("initial lambda search failed; keeping initializer")
     trace = [make_state(0, lam1, lam2, Q, rp, nll)]
@@ -546,10 +518,8 @@ def ssr_fit(
     for k in range(opts.max_iter):
         try:
             Q_new = update_q(trace[-1].theta, spec, d.n)
-            rp = None
-            if opts.lambda1_fixed != 0:
-                rp = ws.rank_prior(rank_penalty_matrix(Q_new, spec))
-            lam1n, lam2n, nll_new, kept = _optimize_lambdas(ws, rp, (lam1, lam2), floor, opts)
+            rp = ws.rank_prior(rank_penalty_matrix(Q_new, spec))
+            lam1n, lam2n, nll_new, _ = _optimize_lambdas(ws, rp, (lam1, lam2), floor)
             if not nll_new < trace[-1].nll:
                 break
             trace.append(make_state(k + 1, lam1n, lam2n, Q_new, rp, nll_new))
@@ -568,27 +538,3 @@ def ssr_fit(
         lambda2_floor=floor,
         messages=messages,
     )
-
-
-def estimate_to_json(
-    ir: ImpulseResponse,
-    sigma: np.ndarray | None = None,
-    trace: list[SsrState] | None = None,
-) -> dict:
-    """Portable estimate document: dimensions, coefficients, iterate trace."""
-    return {
-        "p": ir.p,
-        "m": ir.m,
-        "T": ir.T,
-        "theta": [float(v) for v in ir.theta],
-        "trace": [
-            {
-                "k": s.k,
-                "lambda1": float(s.hyper.lambda1),
-                "lambda2": float(s.hyper.lambda2),
-                "nll": float(s.nll),
-            }
-            for s in (trace or [])
-        ],
-        "sigma": [float(v) for v in sigma] if sigma is not None else [],
-    }

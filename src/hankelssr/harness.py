@@ -18,12 +18,13 @@ import scipy
 
 from .estimators.atom import atom_estimate
 from .estimators.ss import SsResult, ss_estimate
-from .estimators.ssr import SsrOptions, ssr_fit
+from .estimators.ssr import SsrOptions, SsrResult, ssr_fit
 from .simulation import ScenarioConfig, fit_metric, make_scenario_data
 
 __all__ = [
     "ESTIMATORS",
     "RunReport",
+    "fit_estimator",
     "run_seed",
     "run_single",
     "run_study",
@@ -121,32 +122,17 @@ def validate_estimators(names, scenario: str) -> list[str]:
     return names
 
 
-def _fit_one(name: str, dataset, config: ScenarioConfig, baseline: SsResult | None):
-    """Returns (impulse response, ssr-style info dict or empty, the ss
-    baseline this fit made or None).  ``baseline`` is an ss fit of the same
-    run, reused as the ssr warm start."""
+def fit_estimator(name: str, dataset, T: int, order: int, baseline: SsResult | None = None):
+    """Fit the estimator called ``name`` (one of ESTIMATORS) and return its
+    result.  ``baseline`` is an ss fit of the same data, reused as the ssr
+    warm start."""
     if name == "ss":
-        res = ss_estimate(dataset, config.kernel_order, config.t)
-        return res.ir, {}, res
+        return ss_estimate(dataset, order, T)
     if name in ("ssr", "ssr-weighted"):
-        res = ssr_fit(
-            dataset,
-            config.t,
-            config.kernel_order,
-            SsrOptions(weighted=(name == "ssr-weighted")),
-            baseline=baseline,
-        )
-        last = res.trace[-1]
-        return res.ir, {
-            "iters": res.iterations,
-            "lambda1": float(last.hyper.lambda1),
-            "lambda2": float(last.hyper.lambda2),
-            "nll": float(last.nll),
-        }, res.ss
+        options = SsrOptions(weighted=name == "ssr-weighted")
+        return ssr_fit(dataset, T, order, options, baseline=baseline)
     if name == "atom":
-        if dataset.p != 1 or dataset.m != 1:
-            raise ValueError("atom estimator is SISO only")
-        return atom_estimate(dataset, config.t).ir, {}, None
+        return atom_estimate(dataset, T)
     raise ValueError(f"unknown estimator {name!r}")
 
 
@@ -165,20 +151,22 @@ def run_single(config: ScenarioConfig, run_index: int, estimators) -> RunReport:
     for name in estimators:
         start = time.perf_counter()
         try:
-            ir, info, made = _fit_one(name, dataset, config, baseline)
+            res = fit_estimator(name, dataset, config.t, config.kernel_order, baseline)
         except Exception as exc:  # keep the study going; record the failure
             log.warning("run %d estimator %s failed: %r", run_index, name, exc)
             report.errors[name] = repr(exc)
             continue
         report.wall_ms[name] = 1000.0 * (time.perf_counter() - start)
-        if baseline is None:
+        report.fits[name] = fit_metric(res.ir, truth)
+        if isinstance(res, SsrResult):
+            last = res.trace[-1]
+            report.iters[name] = res.iterations
+            report.lambda1[name] = float(last.hyper.lambda1)
+            report.lambda2[name] = float(last.hyper.lambda2)
+            report.nll[name] = float(last.nll)
+        made = res.ss if isinstance(res, SsrResult) else res
+        if baseline is None and isinstance(made, SsResult):
             baseline = made
-        report.fits[name] = fit_metric(ir, truth)
-        if info:
-            report.iters[name] = info["iters"]
-            report.lambda1[name] = info["lambda1"]
-            report.lambda2[name] = info["lambda2"]
-            report.nll[name] = info["nll"]
     return report
 
 

@@ -259,8 +259,17 @@ def system_to_json(sys: TrueSystem, T: int) -> dict:
 
 
 def system_from_json(doc: dict) -> tuple[TrueSystem, int]:
-    sys = TrueSystem(A=np.array(doc["A"]), B=np.array(doc["B"]), C=np.array(doc["C"]))
-    return sys, int(doc["T"])
+    """Inverse of system_to_json; raises ValueError naming a missing field."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object with fields A, B, C and T")
+    for key in ("A", "B", "C", "T"):
+        if key not in doc:
+            raise ValueError(f"missing field {key!r}")
+    try:
+        sys = TrueSystem(A=np.array(doc["A"]), B=np.array(doc["B"]), C=np.array(doc["C"]))
+        return sys, int(doc["T"])
+    except TypeError:  # a null or an object where a number belongs; bad strings raise ValueError
+        raise ValueError("A, B and C must be numeric matrices and T an integer") from None
 
 
 def write_system_json(sys: TrueSystem, T: int, path) -> None:

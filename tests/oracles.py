@@ -4,8 +4,8 @@ Each one builds the model from its definition at full size: the N*p
 regressor and output stack, the N*p by N*p output covariance, the prior
 precision with an explicit K^-1, and the stacked least-squares system.
 They are too slow and too ill-conditioned for the library and only serve as
-oracles on small instances.  The last two helpers drive the estimator's own
-closed-form solve, so a test can put it next to an oracle.  This module
+oracles on small instances.  The last three helpers drive the estimators' own
+closed-form solves, so a test can put them next to an oracle.  This module
 holds no tests itself.
 """
 import math
@@ -13,9 +13,10 @@ import math
 import numpy as np
 from scipy import linalg
 
-from hankelssr import Dataset, make_hankel_spec, rank_penalty_matrix
-from hankelssr.core import regressor_block
-from hankelssr.estimators.ssr import _Workspace
+from hankelssr import Dataset, ImpulseResponse
+from hankelssr.core import make_hankel_spec, regressor_block
+from hankelssr.estimators.ss import _ChannelData, _channel_fit, _gram_chol
+from hankelssr.estimators.ssr import _Workspace, rank_penalty_matrix
 from hankelssr.kernels import stable_spline_gram
 
 
@@ -85,3 +86,14 @@ def map_from_precision(d: Dataset, A: np.ndarray, sigma) -> np.ndarray:
     K = A^-1 with lambda2 = 1 and the rank penalty off."""
     spec = make_hankel_spec(A.shape[0] // (d.m * d.p), d.p, d.m)
     return engine_map(d, None, 0.0, 1.0, np.linalg.inv(A), sigma, spec)
+
+
+def ss_fixed_estimate(
+    d: Dataset, order: int, T: int, alpha: float, scale: float, sigma: float
+) -> ImpulseResponse:
+    """The smoothness-only posterior mean of every output channel at fixed
+    (alpha, scale, sigma), from the estimator's per-channel factorization."""
+    phi = regressor_block(d.u, T)
+    L = _gram_chol(order, alpha, T, d.m)
+    theta = [_channel_fit(_ChannelData(phi, d.y[:, i]), L, scale, sigma)[1]() for i in range(d.p)]
+    return ImpulseResponse(p=d.p, m=d.m, T=T, theta=np.concatenate(theta))

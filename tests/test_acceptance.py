@@ -9,23 +9,22 @@ import time
 import numpy as np
 import pytest
 
-from hankelssr import (
-    Dataset,
-    ImpulseResponse,
+from hankelssr import Dataset, ImpulseResponse, fit_metric, ssr_fit
+from hankelssr.core import (
     build_hankel,
-    fit_metric,
     make_hankel_spec,
     numerical_rank,
     predict_outputs,
-    rank_penalty_matrix,
-    ssr_fit,
-    ssr_negative_log_ml,
-    update_q,
-    variational_bound_check,
     weighted_hankel,
 )
 from hankelssr.cli import main
-from hankelssr.estimators.ssr import q_saturation
+from hankelssr.estimators.ssr import (
+    q_saturation,
+    rank_penalty_matrix,
+    ssr_negative_log_ml,
+    update_q,
+    variational_bound_check,
+)
 from hankelssr.harness import aggregate, run_study
 from hankelssr.kernels import KernelModel, assemble_prior
 from hankelssr.simulation import ScenarioConfig, _random_stable_system, scenario_s1, simulate_oe

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from hankelssr import (
-    Dataset,
-    ImpulseResponse,
-    atom_dictionary,
-    atom_estimate,
-    predict_outputs,
-)
-from hankelssr.estimators.atom import lasso_kkt_residual
+from hankelssr import Dataset, ImpulseResponse, atom_estimate
+from hankelssr.core import predict_outputs
+from hankelssr.estimators.atom import atom_dictionary, lasso_kkt_residual
 from hankelssr.simulation import fit_metric
 
 

@@ -118,6 +118,51 @@ class TestEstimateCommand:
         assert len(nlls) >= 1
         assert all(b < a for a, b in zip(nlls, nlls[1:]))
 
+    def test_ssr_weighted_writes_its_own_file(self, tmp_path):
+        out = _simulate(tmp_path, scenario="s3", n=150, t=8, seed=6)
+        data = out / "s3_run000_data.csv"
+        assert main(["estimate", "--data", str(data), "--estimator", "ssr-weighted"]) == 0
+        assert (out / "s3_run000_ssr-weighted_estimate.json").exists()
+        assert not (out / "s3_run000_ssr_estimate.json").exists()
+
+    def test_weighted_flag_is_usage_error(self, tmp_path):
+        out = _simulate(tmp_path, scenario="s3", n=60, t=8, seed=6)
+        data = out / "s3_run000_data.csv"
+        assert main(["estimate", "--data", str(data), "--estimator", "ssr", "--weighted"]) == 3
+
+    @pytest.mark.parametrize(
+        "system, message",
+        [
+            ("{bad", "Expecting property name"),
+            ('{"A": [[0.5]]}', "missing field 'B'"),
+            ("s1", "system has p=3, m=1 but the dataset has p=1, m=1"),
+            ('{"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "T": null}', "T an integer"),
+        ],
+        ids=["malformed", "incomplete", "other-scenario", "null-field"],
+    )
+    def test_bad_system_json_is_usage_error_before_fitting(self, tmp_path, capsys, system, message):
+        out = _simulate(tmp_path, scenario="s3", n=60, t=8, seed=6)
+        path = out / "s3_run000_system.json"
+        if system == "s1":
+            s1 = _simulate(tmp_path / "s1", scenario="s1", n=60, t=8, seed=6)
+            path.write_text((s1 / "s1_run000_system.json").read_text())
+        else:
+            path.write_text(system)
+        capsys.readouterr()
+        code = main(["estimate", "--data", str(out / "s3_run000_data.csv"), "--estimator", "ss"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err
+        assert not (out / "s3_run000_ss_estimate.json").exists()
+
+    def test_unreadable_system_json_is_io_error(self, tmp_path):
+        out = _simulate(tmp_path, scenario="s3", n=60, t=8, seed=6)
+        system = out / "s3_run000_system.json"
+        system.unlink()
+        system.mkdir()
+        assert main(["estimate", "--data", str(out / "s3_run000_data.csv"), "--estimator", "ss"]) == 2
+
     def test_atom_on_mimo_is_usage_error(self, tmp_path, capsys):
         out = _simulate(tmp_path, scenario="s1", n=60, t=8, seed=1)
         data = out / "s1_run000_data.csv"

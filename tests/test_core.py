@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from hankelssr import (
-    Dataset,
-    ImpulseResponse,
+from hankelssr import Dataset, ImpulseResponse, read_dataset_csv, write_dataset_csv
+from hankelssr.core import (
     build_hankel,
     choose_hankel_shape,
     make_hankel_spec,
     numerical_rank,
     predict_outputs,
-    read_dataset_csv,
+    regressor_block,
     surrogate_weights,
-    write_dataset_csv,
 )
-from hankelssr.core import regressor_block
 from oracles import build_regressor, stack_outputs
 
 
@@ -274,6 +271,16 @@ class TestDatasetCsv:
         path = tmp_path / "nan.csv"
         path.write_text("t,u1,y1\n1,0.5,1.0\n2,0.1,nan\n3,0.2,0.3\n")
         with pytest.raises(ValueError, match="y1 at sample 2 is nan"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1,0.5", "line 2 has 2 fields, expected 3"), ("1,0.5,abc", "y1 on line 2 is 'abc'")],
+    )
+    def test_malformed_row_names_line_and_column(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,u1,y1\n{row}\n2,0.1,0.3\n")
+        with pytest.raises(ValueError, match=message):
             read_dataset_csv(path)
 
 

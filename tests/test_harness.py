@@ -139,10 +139,10 @@ class TestRunStudy:
         assert validate_estimators(["ss", "atom"], "s3") == ["ss", "atom"]
 
     def test_failures_recorded_not_raised(self, monkeypatch):
-        def boom(name, dataset, config, baseline):
+        def boom(name, dataset, T, order, baseline):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(H, "_fit_one", boom)
+        monkeypatch.setattr(H, "fit_estimator", boom)
         reports = run_study(_tiny_config(), ["ss"])
         assert reports[0].fits == {}
         assert "ss" in reports[0].errors

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hankelssr import KernelModel, assemble_prior, stable_spline_gram
+from hankelssr.kernels import KernelModel, assemble_prior, stable_spline_gram
 
 
 class TestStableSplineGram:

@@ -4,16 +4,13 @@ import pytest
 from hankelssr import (
     Dataset,
     ImpulseResponse,
-    build_hankel,
     fit_metric,
-    make_hankel_spec,
-    numerical_rank,
     scenario_s1,
     scenario_s2,
     scenario_s3,
     simulate_oe,
 )
-from hankelssr.core import regressor_block
+from hankelssr.core import build_hankel, make_hankel_spec, numerical_rank, regressor_block
 from hankelssr.simulation import (
     ScenarioConfig,
     TrueSystem,

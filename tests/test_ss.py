@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from hankelssr import (
-    Dataset,
-    ImpulseResponse,
-    estimate_noise_variance,
-    predict_outputs,
-    ss_estimate,
-    ss_negative_log_ml,
-    stable_spline_gram,
-)
-from hankelssr.core import regressor_block
-from oracles import dense_ss_evidence
+from hankelssr import Dataset, ImpulseResponse, ss_estimate
+from hankelssr.core import predict_outputs, regressor_block
+from hankelssr.estimators.ss import estimate_noise_variance, ss_negative_log_ml
+from hankelssr.kernels import stable_spline_gram
+from oracles import dense_ss_evidence, ss_fixed_estimate
 
 
 def _siso_dataset(g, N, seed, noise_std=0.0):
@@ -106,7 +100,7 @@ class TestSsEstimate:
         y = rng.standard_normal((N, p))
         d = Dataset(u=u, y=y)
         alpha, scale, sigma = 0.75, 2.5, 0.8
-        res = ss_estimate(d, 1, T, fixed=(alpha, scale, sigma))
+        ir = ss_fixed_estimate(d, 1, T, alpha, scale, sigma)
         phi = regressor_block(u, T)
         K = scale * stable_spline_gram(1, alpha, T)
         oracle = np.concatenate(
@@ -117,7 +111,7 @@ class TestSsEstimate:
                 for i in range(p)
             ]
         )
-        np.testing.assert_allclose(res.ir.theta, oracle, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(ir.theta, oracle, rtol=1e-8, atol=1e-10)
 
     def test_mimo_channel_independence(self):
         # per-output fits: output 2's estimate must not depend on output 1's data
@@ -127,6 +121,6 @@ class TestSsEstimate:
         d_joint = Dataset(u=u, y=y)
         d_single = Dataset(u=u, y=y[:, 1:])
         fixed = (0.7, 1.0, 0.5)
-        res_joint = ss_estimate(d_joint, 1, 5, fixed=fixed)
-        res_single = ss_estimate(d_single, 1, 5, fixed=fixed)
-        np.testing.assert_allclose(res_joint.ir.channel(1, 0), res_single.ir.channel(0, 0))
+        ir_joint = ss_fixed_estimate(d_joint, 1, 5, *fixed)
+        ir_single = ss_fixed_estimate(d_single, 1, 5, *fixed)
+        np.testing.assert_allclose(ir_joint.channel(1, 0), ir_single.channel(0, 0))

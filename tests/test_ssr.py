@@ -4,26 +4,28 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from hankelssr import (
-    Dataset,
-    ImpulseResponse,
-    KernelModel,
-    assemble_prior,
+from hankelssr import Dataset, ImpulseResponse, ss_estimate, ssr_fit
+from hankelssr.core import (
     build_hankel,
     make_hankel_spec,
     numerical_rank,
-    optimize_lambdas,
     predict_outputs,
+    regressor_block,
+    weighted_hankel,
+)
+from hankelssr.estimators.ssr import (
+    LAMBDA2_FLOOR_RATIO,
+    SsrOptions,
+    _Workspace,
+    _l2_only_lambda2,
+    optimize_lambdas,
+    q_saturation,
     rank_penalty_matrix,
-    ss_estimate,
-    ssr_fit,
     ssr_negative_log_ml,
     update_q,
     variational_bound_check,
-    weighted_hankel,
 )
-from hankelssr.core import regressor_block
-from hankelssr.estimators.ssr import SsrOptions, q_saturation, _l2_only_lambda2, _Workspace
+from hankelssr.kernels import KernelModel, assemble_prior
 from hankelssr.simulation import fit_metric
 from oracles import dense_evidence, engine_map, map_from_precision, precision, stacked_ls
 
@@ -211,7 +213,7 @@ class TestSsrNegativeLogMl:
     def test_lambda1_zero_matches_smoothness_only_evidence(self):
         # with the rank penalty off, the evidence is the per-channel
         # smoothness-only one with prior covariance K / lam2
-        from hankelssr import ss_negative_log_ml
+        from hankelssr.estimators.ss import ss_negative_log_ml
         from hankelssr.kernels import stable_spline_gram
 
         rng = np.random.default_rng(8)
@@ -487,14 +489,15 @@ class TestSsrFit:
         T, N = 8, 150
         theta = 0.6 ** np.arange(1, T + 1)
         d, _ = _dataset_from_theta(theta, 1, 1, T, N, seed=23, noise_std=0.2)
-        res = ssr_fit(d, T, 1, SsrOptions(lambda1_fixed=0.0))
-        assert all(s.hyper.lambda1 == 0.0 for s in res.trace)
-        # oracle: tune lambda2 alone, then the closed-form estimate
+        res = ssr_fit(d, T, 1)
+        # the smoothness-only path: lambda2 tuned with the rank penalty off,
+        # then the engine's closed-form estimate at lambda1 = 0
         K = assemble_prior(res.ss.kernel)
         ws = _Workspace(d, K, res.sigma, res.spec)
         lam2_star, _ = _l2_only_lambda2(ws)
+        assert res.lambda2_floor == pytest.approx(LAMBDA2_FLOOR_RATIO * lam2_star, rel=1e-12)
         oracle = stacked_ls(d, lam2_star * np.linalg.inv(K), res.sigma, T)
-        np.testing.assert_allclose(res.ir.theta, oracle, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(ws.map(None, 0.0, lam2_star), oracle, rtol=1e-4, atol=1e-8)
 
     def test_too_short_record_rejected_before_baseline(self, monkeypatch):
         def no_baseline(*args, **kwargs):
