@@ -170,6 +170,9 @@ def cmd_estimate(args) -> int:
     if T is None:
         print("error: --t required (no co-located system JSON)", file=sys.stderr)
         return EXIT_USAGE
+    if T < 2:
+        print(f"error: T must be at least 2, got {T}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         res = harness.fit_estimator(args.estimator, dataset, T, args.kernel_order)

@@ -3,16 +3,21 @@
 Truncated MIMO impulse responses are stored as flat coefficient vectors in
 channel-major layout.  This module provides the shared machinery: lagged-input
 regressors, block Hankel matrices, the row indices that place each
-coefficient in the vectorized transposed Hankel matrix, and (optional)
-row/column weighting estimated from data.
+coefficient in the vectorized transposed Hankel matrix, (optional)
+row/column weighting estimated from data, and the one-BLAS-thread scope
+every fit runs in.
 """
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import linalg
 
 __all__ = [
@@ -26,8 +31,6 @@ __all__ = [
     "weighted_hankel",
     "make_hankel_spec",
     "surrogate_weights",
-    "numerical_rank",
-    "chol_psd",
     "read_dataset_csv",
     "write_dataset_csv",
 ]
@@ -236,14 +239,6 @@ class HankelSpec:
     def theta_dim(self) -> int:
         return self.T * self.m * self.p
 
-    def vec_hankel_t(self, theta: np.ndarray) -> np.ndarray:
-        """vec(H(theta)^T), column-major."""
-        return np.asarray(theta, dtype=float)[self.row_src]
-
-    def multiplicities(self) -> np.ndarray:
-        """How many Hankel entries each coefficient occupies."""
-        return np.bincount(self.row_src, minlength=self.theta_dim).astype(float)
-
 
 def surrogate_weights(d: Dataset, r: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     """Whitening weights from sample covariances of future outputs / past inputs.
@@ -318,30 +313,64 @@ def weighted_hankel(ir: ImpulseResponse, spec: HankelSpec) -> np.ndarray:
     return spec.W2.T @ build_hankel(ir, spec) @ spec.W1.T
 
 
-def numerical_rank(mat_or_sv: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Count singular values above rel_tol times the largest one."""
-    a = np.asarray(mat_or_sv, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False) if a.ndim == 2 else np.sort(a)[::-1]
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+@functools.cache
+def _openblas() -> dict:
+    """{package: (get, set)} thread-count entry points of the OpenBLAS that
+    numpy and scipy each bundle, for those loaded in this process.
+
+    The two builds keep separate thread pools, so a limit has to reach both.
+    Builds that are not the bundled wheels' (another BLAS, or none found)
+    are left alone.
+    """
+    found = {}
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:  # RTLD_NOLOAD: only a library the package already loaded
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found[pkg.__name__] = (get, set_)
+            break
+    return found
 
 
-CHOL_JITTER = 1e-12  # first diagonal bump, relative to the mean diagonal; x100 per retry
-CHOL_TRIES = 7
+def blas_threads(limit: int | dict | None = None) -> dict[str, int]:
+    """Thread counts of the OpenBLAS builds of numpy and scipy, keyed by
+    package, as they were before this call.  With ``limit``, set every build
+    to that count, or each to its entry in a dict returned earlier."""
+    counts = {}
+    for pkg, (get, set_) in _openblas().items():
+        counts[pkg] = get()
+        if limit is not None:
+            set_(limit[pkg] if isinstance(limit, dict) else limit)
+    return counts
 
 
-def chol_psd(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating a relative jitter for PSD inputs."""
-    M = np.asarray(M, dtype=float)
-    scale = max(float(np.trace(M)) / M.shape[0], np.finfo(float).tiny)
-    bump = 0.0
-    for _ in range(CHOL_TRIES):
+def one_blas_thread(fit):
+    """Run ``fit`` with one thread in each bundled OpenBLAS and restore the
+    caller's counts when it returns or raises.
+
+    A fit's matrices are too small to gain from more threads, extra threads
+    fight a study's worker processes for the cores, and OpenBLAS rounds
+    differently with one thread than with several; so a fit gives the same
+    digits whoever calls it.  The counts are per process, so fits that run
+    concurrently belong in separate processes, not threads.
+    """
+
+    @functools.wraps(fit)
+    def scoped(*args, **kwargs):
+        saved = blas_threads(1)
         try:
-            return np.linalg.cholesky(M + bump * np.eye(M.shape[0]) if bump else M)
-        except np.linalg.LinAlgError:
-            bump = CHOL_JITTER * scale if bump == 0.0 else bump * 100.0
-    raise np.linalg.LinAlgError("matrix not positive definite even after jitter")
+            return fit(*args, **kwargs)
+        finally:
+            blas_threads(saved)
+
+    return scoped
 
 
 def write_dataset_csv(d: Dataset, path) -> None:

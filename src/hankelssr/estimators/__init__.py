@@ -16,7 +16,6 @@ from .ssr import (
     ssr_fit,
     ssr_negative_log_ml,
     update_q,
-    variational_bound_check,
 )
 from .atom import AtomDictionary, AtomResult, atom_dictionary, atom_estimate, lasso_kkt_residual
 
@@ -34,7 +33,6 @@ __all__ = [
     "ssr_fit",
     "ssr_negative_log_ml",
     "update_q",
-    "variational_bound_check",
     "AtomDictionary",
     "AtomResult",
     "atom_dictionary",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from ..core import Dataset, ImpulseResponse, regressor_block
+from ..core import Dataset, ImpulseResponse, one_blas_thread, regressor_block
 
 __all__ = ["AtomDictionary", "AtomResult", "atom_dictionary", "atom_estimate", "lasso_kkt_residual"]
 
@@ -163,6 +163,7 @@ class AtomResult:
     holdout_errors: np.ndarray
 
 
+@one_blas_thread
 def atom_estimate(d: Dataset, T: int, mu: float | None = None) -> AtomResult:
     """Fit a SISO response as a sparse combination of dictionary atoms.
 
@@ -172,7 +173,7 @@ def atom_estimate(d: Dataset, T: int, mu: float | None = None) -> AtomResult:
     coefficients are refit on all data with the selected weight.  That
     final solve stops at the KKT tolerance TOL or after MAX_SWEEPS passes,
     whichever comes first; ``AtomResult.kkt`` reports the residual it
-    reached.
+    reached.  Computes with one BLAS thread (see ``core.one_blas_thread``).
     """
     if d.p != 1 or d.m != 1:
         raise ValueError("atomic estimator is SISO only (p = m = 1)")

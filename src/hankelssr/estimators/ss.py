@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg, optimize
 
-from ..core import Dataset, ImpulseResponse, chol_psd, predict_outputs, regressor_block
+from ..core import Dataset, ImpulseResponse, one_blas_thread, predict_outputs, regressor_block
 from ..kernels import KernelModel, stable_spline_gram
 
 __all__ = [
@@ -49,7 +49,7 @@ class _ChannelData:
 
 def _gram_chol(order: int, alpha: float, T: int, m: int) -> np.ndarray:
     """Lower Cholesky of the unscaled m-input kernel block (block diagonal)."""
-    Lk = chol_psd(stable_spline_gram(order, alpha, T))
+    Lk = np.linalg.cholesky(stable_spline_gram(order, alpha, T))
     if m == 1:
         return Lk
     return linalg.block_diag(*([Lk] * m))
@@ -191,8 +191,10 @@ def _fit_channel(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, f
     return alpha, 10.0 ** float(x[1]), 10.0 ** float(x[2]), converged
 
 
+@one_blas_thread
 def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
-    """Baseline estimate: per-output empirical Bayes, then the posterior mean."""
+    """Baseline estimate: per-output empirical Bayes, then the posterior mean,
+    computed with one BLAS thread (see ``core.one_blas_thread``)."""
     phi = regressor_block(d.u, T)
     alphas = np.empty(d.p)
     scales = np.empty(d.p)

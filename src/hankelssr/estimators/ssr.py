@@ -16,7 +16,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import linalg, optimize
@@ -26,8 +25,8 @@ from ..core import (
     HankelSpec,
     ImpulseResponse,
     choose_hankel_shape,
-    chol_psd,
     make_hankel_spec,
+    one_blas_thread,
     regressor_block,
     surrogate_weights,
     weighted_hankel,
@@ -45,7 +44,6 @@ __all__ = [
     "optimize_lambdas",
     "update_q",
     "q_saturation",
-    "variational_bound_check",
     "ssr_fit",
 ]
 
@@ -162,9 +160,8 @@ class _Workspace:
     eigenvalues mu of S, and the data term becomes G = L' Phi~'Phi~ L with
     h = L' Phi~'Y~ (Phi~, Y~ the noise-whitened regressor and outputs).  K is
     factored once; each bound matrix costs the eigenvalues of S; each
-    evidence probe then factors lambda2 I + lambda1 S + G once.  With the
-    rank penalty off a probe factors nothing: one eigendecomposition of G
-    per workspace makes it diagonal.
+    evidence probe, the rank penalty on or off, then factors
+    lambda2 I + lambda1 S + G once.
     """
 
     def __init__(self, d: Dataset, K: np.ndarray, sigma: np.ndarray, spec: HankelSpec):
@@ -175,7 +172,10 @@ class _Workspace:
             raise ValueError("need one positive noise variance per output")
         T = spec.T
         self.dim = T * d.m * d.p
-        self.L = chol_psd(np.asarray(K, dtype=float))
+        try:
+            self.L = np.linalg.cholesky(np.asarray(K, dtype=float))
+        except np.linalg.LinAlgError:
+            raise ValueError("prior covariance K is not positive definite") from None
 
         phi = regressor_block(d.u, T)
         C = phi.T @ phi
@@ -198,56 +198,36 @@ class _Workspace:
         S = 0.5 * (S + S.T)
         return _RankPrior(S=S, mu=np.linalg.eigvalsh(S))
 
-    @cached_property
-    def _g_eig(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Eigenvalues g and vectors U of G, and U'h.
-
-        scipy's eigh, not numpy's: with default BLAS threads numpy's slows
-        about 60-fold on small matrices when two processes share the cores.
-        """
-        g, U = linalg.eigh(self.G)
-        return g, U, U.T @ self.h
-
     def _posterior(self, rp: _RankPrior | None, lambda1: float, lambda2: float):
-        """log|lambda2 I + lambda1 S| and the posterior precision
-        lambda2 I + lambda1 S + G: its eigenvalues in G's eigenbasis when
-        lambda1 = 0, else its lower Cholesky factor."""
+        """log|lambda2 I + lambda1 S| and the lower Cholesky factor of the
+        posterior precision lambda2 I + lambda1 S + G."""
         if lambda1 == 0:
-            post = lambda2 + self._g_eig[0]
-            if not (lambda2 > 0 and np.all(post > 0)):
-                raise np.linalg.LinAlgError("precision not positive definite")
-            return self.dim * math.log(lambda2), post
-        prior = lambda2 + lambda1 * rp.mu
-        if not np.all(prior > 0):
-            raise np.linalg.LinAlgError("prior precision not positive definite")
-        M = lambda1 * rp.S
-        M += self.G
+            if not lambda2 > 0:
+                raise np.linalg.LinAlgError("prior precision not positive definite")
+            logdet_prior = self.dim * math.log(lambda2)
+            M = self.G.copy()
+        else:
+            prior = lambda2 + lambda1 * rp.mu
+            if not np.all(prior > 0):
+                raise np.linalg.LinAlgError("prior precision not positive definite")
+            logdet_prior = float(np.sum(np.log(prior)))
+            M = lambda1 * rp.S
+            M += self.G
         M.ravel()[:: self.dim + 1] += lambda2  # the diagonal, as a view
-        # numpy's LAPACK, not scipy's: numpy and scipy each bundle an OpenBLAS
-        # with its own thread pool, and a scipy pool left spinning after the
-        # search slows the numpy products of the next ss fit.
-        return float(np.sum(np.log(prior))), np.linalg.cholesky(M)
+        return logdet_prior, np.linalg.cholesky(M)
 
     def nll(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> float:
         """Y~'Lam^-1 Y~ + log|Lam| of (lambda1, lambda2, Q) through the
         theta-dimensional inversion and determinant lemmas."""
-        logdet_prior, post = self._posterior(rp, lambda1, lambda2)
-        if post.ndim == 1:
-            quad = float(np.sum(self._g_eig[2] ** 2 / post))
-            logdet_post = float(np.sum(np.log(post)))
-        else:
-            w = linalg.solve_triangular(post, self.h, lower=True)
-            quad = float(w @ w)
-            logdet_post = 2.0 * float(np.sum(np.log(np.diag(post))))
-        return self.ybar_sq - quad + self.log_sigma_term + logdet_post - logdet_prior
+        logdet_prior, C = self._posterior(rp, lambda1, lambda2)
+        w = linalg.solve_triangular(C, self.h, lower=True)
+        logdet_post = 2.0 * float(np.sum(np.log(np.diag(C))))
+        return self.ybar_sq - float(w @ w) + self.log_sigma_term + logdet_post - logdet_prior
 
     def map(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> np.ndarray:
         """Closed-form estimate [Phi~'Phi~ + A]^-1 Phi~'Y~ as theta = L x."""
-        _, post = self._posterior(rp, lambda1, lambda2)
-        if post.ndim == 1:
-            _, U, hu = self._g_eig
-            return self.L @ (U @ (hu / post))
-        return self.L @ linalg.cho_solve((post, True), self.h)
+        _, C = self._posterior(rp, lambda1, lambda2)
+        return self.L @ linalg.cho_solve((C, True), self.h)
 
     def trace_k_inv(self) -> float:
         """tr(K^-1) = |L^-1|_F^2."""
@@ -324,8 +304,12 @@ def _optimize_lambdas(
         except (np.linalg.LinAlgError, FloatingPointError):
             return np.inf
 
+    def lambdas(z):
+        # 10 ** log10(floor) can fall one ulp below the floor
+        return 10.0 ** float(z[0]), max(10.0 ** float(z[1]), lambda2_floor)
+
     def objective(z):
-        return safe_nll(10.0 ** float(z[0]), 10.0 ** float(z[1]))
+        return safe_nll(*lambdas(z))
 
     # Coarse probe along lambda1 before the simplex: the evidence is flat in
     # lambda1 near its lower bound, so a purely local start can never leave it.
@@ -343,7 +327,7 @@ def _optimize_lambdas(
     if not np.isfinite(f):
         log.warning("all lambda probes failed; keeping initializer")
         return init[0], init[1], safe_nll(*init), True
-    return 10.0 ** float(x[0]), 10.0 ** float(x[1]), f, False
+    return *lambdas(x), f, False
 
 
 def optimize_lambdas(
@@ -418,34 +402,7 @@ def update_q(ir: ImpulseResponse, spec: HankelSpec, n_samples: int) -> np.ndarra
     return 0.5 * (Q + Q.T)
 
 
-def variational_bound_check(
-    ir: ImpulseResponse, spec: HankelSpec, psi: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Evaluate both sides of the log-det upper bound.
-
-    Returns (lhs, rhs) with lhs = log|H~ H~'| and
-    rhs = tr[H~ H~' Psi^-1] + log|Psi| - rp; psi defaults to the optimum
-    H~ H~' where the two sides coincide.  A tiny jitter is added when the
-    product is singular.
-    """
-    Ht = weighted_hankel(ir, spec)
-    n_rows = Ht.shape[0]
-    eigvals, V = np.linalg.eigh(Ht @ Ht.T)
-    floor = 1e-12 * max(float(eigvals.max()), np.finfo(float).tiny)
-    eigvals = np.maximum(eigvals, floor)
-    B = (V * eigvals) @ V.T  # use the (possibly floored) product on both sides
-    lhs = float(np.sum(np.log(eigvals)))
-    if psi is None:
-        psi = B
-    cPsi = linalg.cho_factor(np.asarray(psi, dtype=float), lower=True)
-    rhs = (
-        float(np.trace(linalg.cho_solve(cPsi, B)))
-        + 2.0 * float(np.sum(np.log(np.diag(cPsi[0]))))
-        - n_rows
-    )
-    return lhs, rhs
-
-
+@one_blas_thread
 def ssr_fit(
     d: Dataset,
     T: int,
@@ -465,7 +422,8 @@ def ssr_fit(
     evidence fails to strictly decrease (ties stop) or after max_iter; the
     returned coefficients are the closed-form estimate of the best-evidence
     hyperparameters found.  Any numerical failure inside the loop returns
-    the best state so far.
+    the best state so far.  Computes with one BLAS thread (see
+    ``core.one_blas_thread``).
     """
     if d.n < MIN_SAMPLES:
         raise ValueError(f"ssr needs at least {MIN_SAMPLES} samples, got {d.n}")
@@ -508,7 +466,7 @@ def ssr_fit(
     lam1_bal = lam2_l2 * ws.trace_k_inv() / max(float(np.trace(R_Q)), 1e-300)
     lam1_bal = min(max(lam1_bal, lam1_lo), lam1_hi)
     init = (lam1_bal, lam2_l2)
-    extras = ((lam1_bal * 1e-2, lam2_l2), (lam1_lo, lam2_l2))
+    extras = ((lam1_bal * 1e-2, lam2_l2),)
 
     lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, extras)
     if kept:

@@ -3,18 +3,14 @@ scenario runs, collects per-run fit values and aggregates boxplot summaries."""
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import json
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .estimators.atom import atom_estimate
 from .estimators.ss import SsResult, ss_estimate
@@ -67,44 +63,6 @@ class RunReport:
     lambda2: dict = field(default_factory=dict)
     nll: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
-
-
-@functools.cache
-def _openblas() -> dict:
-    """{package: (get, set)} thread-count entry points of the OpenBLAS that
-    numpy and scipy each bundle, for those loaded in this process.
-
-    The two builds keep separate thread pools, so a limit has to reach both.
-    Builds that are not the bundled wheels' (another BLAS, or none found)
-    are left alone.
-    """
-    found = {}
-    for pkg, suffix in ((np, "64_"), (scipy, "")):
-        libs = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*")):
-            try:  # RTLD_NOLOAD: only a library the package already loaded
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            found[pkg.__name__] = (get, set_)
-            break
-    return found
-
-
-def blas_threads(limit: int | dict | None = None) -> dict[str, int]:
-    """Thread counts of the OpenBLAS builds of numpy and scipy, keyed by
-    package, as they were before this call.  With ``limit``, set every build
-    to that count, or each to its entry in a dict returned earlier."""
-    counts = {}
-    for pkg, (get, set_) in _openblas().items():
-        counts[pkg] = get()
-        if limit is not None:
-            set_(limit[pkg] if isinstance(limit, dict) else limit)
-    return counts
 
 
 def run_seed(master_seed: int, scenario: str, run_index: int) -> np.random.SeedSequence:
@@ -176,26 +134,15 @@ def _run_single_star(args) -> RunReport:
 
 def run_study(config: ScenarioConfig, estimators, workers: int = 1) -> list[RunReport]:
     """All runs of a study; bit-identical results for a fixed master seed
-    regardless of worker count (each run derives its own seed).
-
-    Every run computes with one BLAS thread per process, on both paths: the
-    study's matrices are too small to gain from more, extra threads fight
-    the workers for the cores, and OpenBLAS rounds differently with one
-    thread than with several.  The caller's thread counts are restored.
-    """
+    regardless of worker count: each run derives its own seed, and every fit
+    computes with one BLAS thread in whichever process runs it."""
     estimators = validate_estimators(estimators, config.scenario)
     jobs = [(config, k, estimators) for k in range(config.runs)]
     workers = min(workers, len(jobs))
     if workers <= 1:
-        saved = blas_threads(1)
-        try:
-            reports = [run_single(*job) for job in jobs]
-        finally:
-            blas_threads(saved)
+        reports = [run_single(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=blas_threads, initargs=(1,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_single_star, jobs))
     return sorted(reports, key=lambda rep: rep.run)
 

@@ -72,9 +72,6 @@ class TrueSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def spectral_radius(self) -> float:
-        return float(np.abs(np.linalg.eigvals(self.A)).max())
-
     def impulse_response(self, T: int) -> ImpulseResponse:
         """Coefficients g(k) = C A^(k-1) B for k = 1..T."""
         g = np.empty((T, self.p, self.m))

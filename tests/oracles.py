@@ -4,17 +4,18 @@ Each one builds the model from its definition at full size: the N*p
 regressor and output stack, the N*p by N*p output covariance, the prior
 precision with an explicit K^-1, and the stacked least-squares system.
 They are too slow and too ill-conditioned for the library and only serve as
-oracles on small instances.  The last three helpers drive the estimators' own
-closed-form solves, so a test can put them next to an oracle.  This module
-holds no tests itself.
+oracles on small instances.  Three helpers drive the estimators' own
+closed-form solves, so a test can put them next to an oracle; the last ones
+are checks the tests apply to the library's outputs.  This module holds no
+tests itself.
 """
 import math
 
 import numpy as np
 from scipy import linalg
 
-from hankelssr import Dataset, ImpulseResponse
-from hankelssr.core import make_hankel_spec, regressor_block
+from hankelssr import Dataset, ImpulseResponse, TrueSystem
+from hankelssr.core import HankelSpec, make_hankel_spec, regressor_block, weighted_hankel
 from hankelssr.estimators.ss import _ChannelData, _channel_fit, _gram_chol
 from hankelssr.estimators.ssr import _Workspace, rank_penalty_matrix
 from hankelssr.kernels import stable_spline_gram
@@ -97,3 +98,55 @@ def ss_fixed_estimate(
     L = _gram_chol(order, alpha, T, d.m)
     theta = [_channel_fit(_ChannelData(phi, d.y[:, i]), L, scale, sigma)[1]() for i in range(d.p)]
     return ImpulseResponse(p=d.p, m=d.m, T=T, theta=np.concatenate(theta))
+
+
+def vec_hankel_t(spec: HankelSpec, theta: np.ndarray) -> np.ndarray:
+    """vec(H(theta)^T), column-major."""
+    return np.asarray(theta, dtype=float)[spec.row_src]
+
+
+def multiplicities(spec: HankelSpec) -> np.ndarray:
+    """How many Hankel entries each coefficient occupies."""
+    return np.bincount(spec.row_src, minlength=spec.theta_dim).astype(float)
+
+
+def numerical_rank(mat_or_sv: np.ndarray, rel_tol: float = 1e-8) -> int:
+    """Count singular values above rel_tol times the largest one."""
+    a = np.asarray(mat_or_sv, dtype=float)
+    s = np.linalg.svd(a, compute_uv=False) if a.ndim == 2 else np.sort(a)[::-1]
+    if s.size == 0 or s[0] <= 0:
+        return 0
+    return int(np.sum(s > rel_tol * s[0]))
+
+
+def spectral_radius(system: TrueSystem) -> float:
+    """Largest pole modulus of the system's state matrix."""
+    return float(np.abs(np.linalg.eigvals(system.A)).max())
+
+
+def variational_bound_check(
+    ir: ImpulseResponse, spec: HankelSpec, psi: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Evaluate both sides of the log-det upper bound.
+
+    Returns (lhs, rhs) with lhs = log|H~ H~'| and
+    rhs = tr[H~ H~' Psi^-1] + log|Psi| - rp; psi defaults to the optimum
+    H~ H~' where the two sides coincide.  A tiny jitter is added when the
+    product is singular.
+    """
+    Ht = weighted_hankel(ir, spec)
+    n_rows = Ht.shape[0]
+    eigvals, V = np.linalg.eigh(Ht @ Ht.T)
+    floor = 1e-12 * max(float(eigvals.max()), np.finfo(float).tiny)
+    eigvals = np.maximum(eigvals, floor)
+    B = (V * eigvals) @ V.T  # use the (possibly floored) product on both sides
+    lhs = float(np.sum(np.log(eigvals)))
+    if psi is None:
+        psi = B
+    cPsi = linalg.cho_factor(np.asarray(psi, dtype=float), lower=True)
+    rhs = (
+        float(np.trace(linalg.cho_solve(cPsi, B)))
+        + 2.0 * float(np.sum(np.log(np.diag(cPsi[0]))))
+        - n_rows
+    )
+    return lhs, rhs

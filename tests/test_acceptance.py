@@ -13,7 +13,6 @@ from hankelssr import Dataset, ImpulseResponse, fit_metric, ssr_fit
 from hankelssr.core import (
     build_hankel,
     make_hankel_spec,
-    numerical_rank,
     predict_outputs,
     weighted_hankel,
 )
@@ -23,12 +22,19 @@ from hankelssr.estimators.ssr import (
     rank_penalty_matrix,
     ssr_negative_log_ml,
     update_q,
-    variational_bound_check,
 )
 from hankelssr.harness import aggregate, run_study
 from hankelssr.kernels import KernelModel, assemble_prior
 from hankelssr.simulation import ScenarioConfig, _random_stable_system, scenario_s1, simulate_oe
-from oracles import dense_evidence, engine_map, map_from_precision, precision, stacked_ls
+from oracles import (
+    dense_evidence,
+    engine_map,
+    map_from_precision,
+    numerical_rank,
+    precision,
+    stacked_ls,
+    variational_bound_check,
+)
 
 WORKERS = 2
 STUDY_SEED = 1

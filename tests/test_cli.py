@@ -180,6 +180,16 @@ class TestEstimateCommand:
             == 0
         )
 
+    @pytest.mark.parametrize("t", ["1", "0"])
+    def test_t_below_two_is_usage_error_before_fitting(self, tmp_path, capsys, t):
+        out = _simulate(tmp_path, scenario="s3", n=60, t=8, seed=6)
+        capsys.readouterr()
+        data = out / "s3_run000_data.csv"
+        code = main(["estimate", "--data", str(data), "--estimator", "ss", "--t", t])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: T must be at least 2, got {t}\n"
+        assert not (out / "s3_run000_ss_estimate.json").exists()
+
     def test_unreadable_data(self, tmp_path):
         assert (
             main(

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy
 
 from hankelssr import Dataset, ImpulseResponse, read_dataset_csv, write_dataset_csv
 from hankelssr.core import (
+    blas_threads,
     build_hankel,
     choose_hankel_shape,
     make_hankel_spec,
-    numerical_rank,
     predict_outputs,
     regressor_block,
     surrogate_weights,
 )
-from oracles import build_regressor, stack_outputs
+from hankelssr.estimators import atom, ss, ssr
+from oracles import build_regressor, multiplicities, numerical_rank, stack_outputs, vec_hankel_t
 
 
 class TestImpulseResponse:
@@ -161,7 +163,7 @@ class TestBuildHankel:
             spec = make_hankel_spec(T, p, m)
             H = build_hankel(ir, spec)
             np.testing.assert_array_equal(
-                H.T.flatten(order="F"), spec.vec_hankel_t(theta)
+                H.T.flatten(order="F"), vec_hankel_t(spec, theta)
             )
 
 
@@ -173,11 +175,11 @@ class TestVectorizationMap:
 
     def test_column_sums_are_multiplicities(self):
         spec = make_hankel_spec(3, 1, 1)
-        np.testing.assert_array_equal(spec.multiplicities(), [1, 2, 1])
+        np.testing.assert_array_equal(multiplicities(spec), [1, 2, 1])
         T = 7
         spec = make_hankel_spec(T, 1, 1)
         mult = [min(k, T - k + 1, spec.r, spec.c) for k in range(1, T + 1)]
-        np.testing.assert_array_equal(spec.multiplicities(), mult)
+        np.testing.assert_array_equal(multiplicities(spec), mult)
 
     def test_mimo_cross_check_with_build_hankel(self):
         rng = np.random.default_rng(8)
@@ -185,7 +187,7 @@ class TestVectorizationMap:
         ir = ImpulseResponse(p=2, m=1, T=3, theta=theta)
         spec = make_hankel_spec(3, 2, 1, r=2, c=2)
         H = build_hankel(ir, spec)
-        np.testing.assert_array_equal(spec.vec_hankel_t(theta), H.T.flatten(order="F"))
+        np.testing.assert_array_equal(vec_hankel_t(spec, theta), H.T.flatten(order="F"))
 
     def test_random_instances_exact(self):
         rng = np.random.default_rng(9)
@@ -198,12 +200,12 @@ class TestVectorizationMap:
             ir = ImpulseResponse(p=p, m=m, T=T, theta=theta)
             H = build_hankel(ir, spec)
             np.testing.assert_array_equal(
-                spec.vec_hankel_t(theta), H.T.flatten(order="F")
+                vec_hankel_t(spec, theta), H.T.flatten(order="F")
             )
             # one selected coefficient per Hankel entry, every coefficient used
             assert spec.row_src.shape == (H.size,)
-            assert spec.multiplicities().sum() == H.size
-            assert (spec.multiplicities() >= 1).all()
+            assert multiplicities(spec).sum() == H.size
+            assert (multiplicities(spec) >= 1).all()
 
 
 class TestSurrogateWeights:
@@ -296,3 +298,45 @@ class TestDatasetValidation:
         y[0] = -np.inf
         with pytest.raises(ValueError, match="y1 at sample 1 is -inf"):
             Dataset(u=np.zeros(4), y=y)
+
+
+class TestOneBlasThread:
+    def test_every_fit_runs_with_one_blas_thread(self, monkeypatch):
+        for pkg in (np, scipy):
+            blas = pkg.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+            if blas != "scipy-openblas":
+                pytest.skip(f"{pkg.__name__} uses {blas}, not the bundled scipy-openblas")
+        assert set(blas_threads()) == {"numpy", "scipy"}
+        rng = np.random.default_rng(40)
+        d = Dataset(u=rng.standard_normal((40, 1)), y=rng.standard_normal((40, 1)))
+        fits = [
+            (ss, lambda: ss.ss_estimate(d, 1, 6)),
+            (ssr, lambda: ssr.ssr_fit(d, 6, 1, ssr.SsrOptions(max_iter=1))),
+            (atom, lambda: atom.atom_estimate(d, 6, mu=10.0)),
+        ]
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        caller = blas_threads(2)
+        try:
+            for module, fit in fits:
+                # each module's own regressor_block runs inside its fit, for
+                # ssr after the ss warm start has returned
+                seen = []
+
+                def probe(*args, _original=module.regressor_block, **kwargs):
+                    seen.append(blas_threads())
+                    return _original(*args, **kwargs)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, "regressor_block", probe)
+                    fit()
+                    assert seen and all(c == {"numpy": 1, "scipy": 1} for c in seen)
+                    assert blas_threads() == {"numpy": 2, "scipy": 2}
+                    patch.setattr(module, "regressor_block", fail)
+                    with pytest.raises(RuntimeError, match="synthetic failure"):
+                        fit()
+                    assert blas_threads() == {"numpy": 2, "scipy": 2}
+        finally:
+            blas_threads(caller)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import hankelssr.harness as H
+from hankelssr import cli, write_dataset_csv
+from hankelssr.core import blas_threads
 from hankelssr.estimators.ss import ss_estimate
+from hankelssr.estimators.ssr import ssr_fit
 from hankelssr.harness import (
     RunReport,
     aggregate,
-    blas_threads,
     completeness,
     run_seed,
     run_single,
@@ -17,7 +19,7 @@ from hankelssr.harness import (
     write_reports_csv,
     write_summary_json,
 )
-from hankelssr.simulation import ScenarioConfig
+from hankelssr.simulation import ScenarioConfig, fit_metric, make_scenario_data, write_system_json
 
 
 def _tiny_config(scenario="s2", **kw):
@@ -60,46 +62,43 @@ class TestRunStudy:
             assert ra.fits == rb.fits
             assert ra.seed == rb.seed
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, tmp_path):
         # The s1-sized study (p=3, T=80, N=500) is large enough for OpenBLAS
-        # to thread, so it differs unless both paths use one BLAS thread.
-        studies = [
-            (_tiny_config(runs=3), ["ss"]),
-            (ScenarioConfig.default("s1", runs=2, seed=1), ["ss", "ssr"]),
-        ]
-        for cfg, names in studies:
-            serial = run_study(cfg, names, workers=1)
-            parallel = run_study(cfg, names, workers=2)
-            for rs, rp in zip(serial, parallel):
-                assert rs.fits == rp.fits
-                for cells in ("iters", "lambda1", "lambda2", "nll"):
-                    assert getattr(rs, cells) == getattr(rp, cells)
-
-    def test_one_blas_thread_per_study_process(self, monkeypatch):
-        if not blas_threads():
-            pytest.skip("neither numpy nor scipy bundles OpenBLAS here")
+        # to thread, so with the caller's two threads its last digits change
+        # unless every fit computes with one, whoever calls it.
+        s1 = ScenarioConfig.default("s1", runs=2, seed=1)
         caller = blas_threads(2)
         try:
-            # forked workers inherit the patched run_single
-            monkeypatch.setattr(
-                H, "run_single", lambda config, k, names: RunReport(
-                    config.scenario, k, 0, fits=blas_threads())
+            for cfg, names in [(_tiny_config(runs=3), ["ss"]), (s1, ["ss", "ssr"])]:
+                serial = run_study(cfg, names, workers=1)
+                parallel = run_study(cfg, names, workers=2)
+                for rs, rp in zip(serial, parallel):
+                    assert rs.fits == rp.fits
+                    for cells in ("iters", "lambda1", "lambda2", "nll"):
+                        assert getattr(rs, cells) == getattr(rp, cells)
+
+            # run 0 of the s1 study, fitted directly and through the CLI
+            system_seed, noise_seed = run_seed(s1.seed, s1.scenario, 0).spawn(2)
+            system, dataset = make_scenario_data(s1, system_seed, noise_seed)
+            res = ssr_fit(dataset, s1.t, s1.kernel_order)
+            last = res.trace[-1]
+            cell = serial[0]
+            assert fit_metric(res.ir, system.impulse_response(s1.t)) == cell.fits["ssr"]
+            assert (res.iterations, last.hyper.lambda1, last.hyper.lambda2, last.nll) == (
+                cell.iters["ssr"], cell.lambda1["ssr"], cell.lambda2["ssr"], cell.nll["ssr"]
             )
-            cfg = _tiny_config(runs=3)
-            for workers in (1, 2):
-                reports = run_study(cfg, ["ss"], workers=workers)
-                for rep in reports:
-                    assert set(rep.fits) == {"numpy", "scipy"}
-                    assert set(rep.fits.values()) == {1}
-                assert blas_threads() == {"numpy": 2, "scipy": 2}
-
-            def fail(config, k, names):
-                raise RuntimeError("synthetic failure")
-
-            monkeypatch.setattr(H, "run_single", fail)
-            with pytest.raises(RuntimeError):
-                run_study(cfg, ["ss"], workers=1)
-            assert blas_threads() == {"numpy": 2, "scipy": 2}
+            data = tmp_path / "s1_run000_data.csv"
+            write_dataset_csv(dataset, data)
+            write_system_json(system, s1.t, tmp_path / "s1_run000_system.json")
+            order = str(s1.kernel_order)
+            assert cli.main(["estimate", "--data", str(data), "--estimator", "ssr",
+                             "--kernel-order", order]) == 0
+            doc = json.loads((tmp_path / "s1_run000_ssr_estimate.json").read_text())
+            assert doc["theta"] == res.ir.theta.tolist()
+            assert doc["trace"][-1] == {
+                "k": last.k, "lambda1": last.hyper.lambda1,
+                "lambda2": last.hyper.lambda2, "nll": last.nll,
+            }
         finally:
             blas_threads(caller)
 

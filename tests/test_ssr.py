@@ -8,7 +8,6 @@ from hankelssr import Dataset, ImpulseResponse, ss_estimate, ssr_fit
 from hankelssr.core import (
     build_hankel,
     make_hankel_spec,
-    numerical_rank,
     predict_outputs,
     regressor_block,
     weighted_hankel,
@@ -23,11 +22,18 @@ from hankelssr.estimators.ssr import (
     rank_penalty_matrix,
     ssr_negative_log_ml,
     update_q,
-    variational_bound_check,
 )
 from hankelssr.kernels import KernelModel, assemble_prior
 from hankelssr.simulation import fit_metric
-from oracles import dense_evidence, engine_map, map_from_precision, precision, stacked_ls
+from oracles import (
+    dense_evidence,
+    engine_map,
+    map_from_precision,
+    numerical_rank,
+    precision,
+    stacked_ls,
+    variational_bound_check,
+)
 
 
 def _random_spec(rng, p=None, m=None, T=None, weighted=True):
@@ -279,10 +285,13 @@ class TestWorkspace:
         return ws, ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * 2), spec))
 
     def test_one_factorization_per_probe(self, monkeypatch):
-        # one dim x dim Cholesky per lambda1 > 0 probe, none with the penalty off
+        # one dim x dim Cholesky per probe, the rank penalty on or off
         ws, ranked = self._workspace()
         calls = []
-        for module, name in [(np.linalg, "cholesky"), (linalg, "cholesky"), (linalg, "cho_factor")]:
+        for module, name in [
+            (np.linalg, "cholesky"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+            (linalg, "cholesky"), (linalg, "cho_factor"), (linalg, "eigh"),
+        ]:
             original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -291,10 +300,11 @@ class TestWorkspace:
 
             monkeypatch.setattr(module, name, counted)
         ws.nll(ranked, 0.3, 1.2)
-        assert len(calls) == 1
+        assert calls == ["cholesky"]
         ws.nll(None, 0.0, 1.2)
+        assert calls == ["cholesky"] * 2
         ws.map(None, 0.0, 1.2)
-        assert len(calls) == 1
+        assert calls == ["cholesky"] * 3
 
     def test_nonpositive_prior_is_a_failed_probe(self):
         ws, ranked = self._workspace()
@@ -302,6 +312,14 @@ class TestWorkspace:
             ws.nll(ranked, 1.0, -1e6)
         with pytest.raises(np.linalg.LinAlgError):
             ws.nll(None, 0.0, -1.0)
+
+    def test_prior_covariance_must_be_positive_definite(self):
+        rng = np.random.default_rng(31)
+        d = Dataset(u=rng.standard_normal((40, 1)), y=rng.standard_normal((40, 1)))
+        spec = make_hankel_spec(6, 1, 1)
+        K = np.diag([1.0, 0.5, 0.2, 0.1, 0.0, -0.1])
+        with pytest.raises(ValueError, match="prior covariance K is not positive definite"):
+            ssr_negative_log_ml(d, np.eye(spec.r), 0.0, 1.0, K, np.array([1.0]), spec)
 
 
 class TestOptimizeLambdas:
@@ -321,6 +339,24 @@ class TestOptimizeLambdas:
             f_init = ssr_negative_log_ml(d, Q, init[0], init[1], K, sigma, spec)
             f_ret = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec)
             assert f_ret <= f_init + 1e-9
+
+    def test_lambda2_never_below_floor(self):
+        # 10 ** log10(floor) is one ulp below this floor; the data's
+        # smoothness-only optimum (about 2e-4) lies below it, so the search
+        # ends on the bound
+        floor = 0.0010023226402700275
+        T = 6
+        theta = 200.0 * 0.7 ** np.arange(1, T + 1)
+        d, _ = _dataset_from_theta(theta, 1, 1, T, 60, seed=31, noise_std=0.1)
+        spec = make_hankel_spec(T, 1, 1)
+        K = assemble_prior(KernelModel(order=1, T=T, p=1, m=1, alphas=[0.7], scales=[1.0]))
+        sigma = np.array([0.01])
+        ws = _Workspace(d, K, sigma, spec)
+        assert _l2_only_lambda2(ws, lo=1e-9)[0] < floor
+        _, lam2 = optimize_lambdas(
+            d, np.eye(spec.r), K, sigma, spec, (1e-3, 1.0), lambda2_floor=floor
+        )
+        assert lam2 >= floor
 
     def test_full_order_data_gains_little_from_rank_penalty(self):
         # With true order = Hankel rows there is no rank deficiency to
