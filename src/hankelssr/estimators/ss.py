@@ -13,10 +13,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
-from ..core import Dataset, ImpulseResponse, one_blas_thread, predict_outputs, regressor_block
-from ..kernels import KernelModel, stable_spline_gram
+from ..core import Dataset, ImpulseResponse, _lbfgsb, one_blas_thread, predict_outputs
+from ..core import regressor_block
+from ..kernels import KernelModel, _stable_spline_gram_dalpha, stable_spline_gram
 
 __all__ = [
     "SsResult",
@@ -33,7 +34,6 @@ NOISE_FLOOR = 1e-12
 # over 12 decades around their moment-based initializers.
 ALPHA_BOX = {1: (0.5, 0.999), 2: (0.6, 0.99)}
 LOG_SPAN = 6.0
-NM_BUDGET = 200
 
 
 class _ChannelData:
@@ -47,23 +47,33 @@ class _ChannelData:
         self.yy = float(y @ y)
 
 
+def _inputs_block(G: np.ndarray, m: int) -> np.ndarray:
+    """One copy of a T x T kernel block per input, on the diagonal."""
+    return G if m == 1 else linalg.block_diag(*([G] * m))
+
+
 def _gram_chol(order: int, alpha: float, T: int, m: int) -> np.ndarray:
     """Lower Cholesky of the unscaled m-input kernel block (block diagonal)."""
-    Lk = np.linalg.cholesky(stable_spline_gram(order, alpha, T))
-    if m == 1:
-        return Lk
-    return linalg.block_diag(*([Lk] * m))
+    return _inputs_block(np.linalg.cholesky(stable_spline_gram(order, alpha, T)), m)
 
 
 def _channel_fit(
     ch: _ChannelData, L: np.ndarray, scale: float, sigma: float
-) -> tuple[float, Callable[[], np.ndarray]]:
+) -> tuple[float, Callable[[], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Evidence Y' Lam^-1 Y + log|Lam| for Lam = sigma I + scale * phi K phi',
-    and a function returning the posterior mean of the channel coefficients
-    from the same factorization (the evidence search never calls it)."""
-    M = scale * (L.T @ ch.C @ L)
+    K = L L', and two functions of the same factor M = scale L'CL + sigma I =
+    R R': the posterior mean of the channel coefficients, and the evidence's
+    gradient in (alpha, ln scale, ln sigma) given dK = dK/dalpha.  With
+    w = R^-1 L'b and u = M^-1 L'b, tr(M^-1) = |R^-1|_F^2 (one triangular
+    inverse), Z = (C - scale C L M^-1 L'C) / sigma, v = (b - scale C L u) / sigma:
+      d/dalpha    = scale [tr(Z dK) - v' dK v]
+      d/dln scale = tm - sigma tr(M^-1) - scale |u|^2
+      d/dln sigma = (n - tm) + sigma tr(M^-1) - (yy - scale w'w - scale sigma |u|^2) / sigma
+    """
+    CL = ch.C @ L
+    M = scale * (L.T @ CL)
     M[np.diag_indices_from(M)] += sigma
-    R, lower = linalg.cho_factor(M, lower=True)
+    R = np.linalg.cholesky(M)
     bk = L.T @ ch.b
     w = linalg.solve_triangular(R, bk, lower=True)
     quad = (ch.yy - scale * float(w @ w)) / sigma
@@ -74,7 +84,19 @@ def _channel_fit(
     def posterior_mean() -> np.ndarray:
         return scale * (L @ linalg.solve_triangular(R, w, lower=True, trans="T"))
 
-    return quad + logdet, posterior_mean
+    def gradient(dK: np.ndarray) -> np.ndarray:
+        R_inv = linalg.lapack.dtrtri(R, lower=1)[0]  # R's diagonal is positive
+        u = R_inv.T @ w
+        uu, tr_m_inv = float(u @ u), float(np.sum(R_inv**2))
+        E = R_inv @ CL.T  # C L M^-1 L'C = E'E
+        Z = (ch.C - scale * (E.T @ E)) / sigma
+        v = (ch.b - scale * (CL @ u)) / sigma
+        d_alpha = scale * (float(np.sum(Z * dK)) - float(v @ dK @ v))
+        d_scale = ch.tm - sigma * tr_m_inv - scale * uu
+        d_sigma = ch.n - ch.tm + sigma * tr_m_inv - quad + scale * uu
+        return np.array([d_alpha, d_scale, d_sigma])
+
+    return quad + logdet, posterior_mean, gradient
 
 
 def ss_negative_log_ml(
@@ -112,83 +134,55 @@ class SsResult:
     sigma: np.ndarray  # (p,) residual variances, floored
     eb_sigma: np.ndarray  # (p,) noise variances found by the evidence search
     nll: np.ndarray  # (p,) final per-channel negative log marginal likelihoods
-    converged: bool
+    converged: bool  # every channel's evidence search met its tolerance
+    evidence_evals: int  # channel evidence evaluations, grid and final ones included
 
 
 def _moment_init(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, float]:
     """Scale/noise initializers matched to the output second moment."""
     var_y = max(ch.yy / ch.n, NOISE_FLOOR)
-    K0 = stable_spline_gram(order, 0.8, T)
-    if m > 1:
-        K0 = linalg.block_diag(*([K0] * m))
+    K0 = _inputs_block(stable_spline_gram(order, 0.8, T), m)
     signal_gain = max(float(np.sum(K0 * ch.C)) / ch.n, NOISE_FLOOR)
     return var_y / signal_gain, 0.25 * var_y
 
 
-def _fit_channel(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, float, float, bool]:
+def _fit_channel(
+    ch: _ChannelData, order: int, T: int, m: int
+) -> tuple[float, float, float, bool, int]:
     """Empirical-Bayes search for one output channel.
 
-    Returns (alpha, scale, sigma, converged).  Nelder-Mead over
-    (alpha, log10 scale, log10 sigma) seeded from a coarse grid, restarted
-    once from the best point.
+    Returns (alpha, scale, sigma, converged, evals).  L-BFGS-B with the
+    analytic gradient over (alpha, log10 scale, log10 sigma), started from
+    the best point of a coarse grid; ``evals`` counts evidence evaluations,
+    the grid's included.
     """
     a_lo, a_hi = ALPHA_BOX[order]
     scale0, sigma0 = _moment_init(ch, order, T, m)
     ls0, lg0 = math.log10(scale0), math.log10(sigma0)
     bounds = [(a_lo, a_hi), (ls0 - LOG_SPAN, ls0 + LOG_SPAN), (lg0 - LOG_SPAN, lg0 + LOG_SPAN)]
 
-    evals = 0
-    cache: dict[float, np.ndarray] = {}
+    grid = []
+    for a in (max(a_lo, 0.6), 0.8, min(a_hi, 0.95)):
+        L = _gram_chol(order, a, T, m)
+        for x in ([a, ls0 + ds, lg0 + dg] for ds in (-2.0, 0.0, 2.0) for dg in (-2.0, 0.0, 1.0)):
+            try:
+                grid.append((_channel_fit(ch, L, 10.0 ** x[1], 10.0 ** x[2])[0], x))
+            except np.linalg.LinAlgError:
+                grid.append((np.inf, x))
+    evals = len(grid)
 
-    def objective(x) -> float:
+    def nll_grad(x):
         nonlocal evals
         evals += 1
-        alpha = min(max(float(x[0]), a_lo), a_hi)
-        scale, sigma = 10.0 ** float(x[1]), 10.0 ** float(x[2])
-        key = round(alpha, 12)
-        L = cache.get(key)
-        if L is None:
-            L = _gram_chol(order, alpha, T, m)
-            if len(cache) > 64:
-                cache.clear()
-            cache[key] = L
-        try:
-            return _channel_fit(ch, L, scale, sigma)[0]
-        except np.linalg.LinAlgError:
-            return np.inf
+        f, _, gradient = _channel_fit(ch, _gram_chol(order, x[0], T, m), 10.0 ** x[1], 10.0 ** x[2])
+        dK = _inputs_block(_stable_spline_gram_dalpha(order, x[0], T), m)
+        return f, gradient(dK) * [1.0, math.log(10.0), math.log(10.0)]
 
-    grid = [
-        np.array([a, ls0 + ds, lg0 + dg])
-        for a in (max(a_lo, 0.6), 0.8, min(a_hi, 0.95))
-        for ds in (-2.0, 0.0, 2.0)
-        for dg in (-2.0, 0.0, 1.0)
-    ]
-    best_x = min(grid, key=objective)
-
-    def clipped(x):
-        return np.clip(x, [b[0] for b in bounds], [b[1] for b in bounds])
-
-    res = optimize.minimize(
-        objective,
-        clipped(best_x),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"maxfev": max(NM_BUDGET - evals - 60, 40), "xatol": 1e-4, "fatol": 1e-7},
-    )
-    res2 = optimize.minimize(
-        objective,
-        clipped(res.x),
-        method="Nelder-Mead",
-        bounds=bounds,
-        options={"maxfev": max(NM_BUDGET - evals, 20), "xatol": 1e-5, "fatol": 1e-8},
-    )
-    x = res2.x if res2.fun <= res.fun else res.x
-    fun = min(res.fun, res2.fun)
-    converged = bool(res.success or res2.success) and np.isfinite(fun)
+    x0 = min(grid, key=lambda fx: fx[0])[1]
+    x, _, converged = _lbfgsb(nll_grad, x0, bounds)
     if not converged:
-        log.debug("channel evidence search hit its budget; keeping best point")
-    alpha = min(max(float(x[0]), a_lo), a_hi)
-    return alpha, 10.0 ** float(x[1]), 10.0 ** float(x[2]), converged
+        log.debug("channel evidence search stopped short of its tolerance; keeping best point")
+    return float(x[0]), 10.0 ** float(x[1]), 10.0 ** float(x[2]), converged, evals
 
 
 @one_blas_thread
@@ -202,19 +196,20 @@ def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
     nlls = np.empty(d.p)
     theta = np.empty(T * d.m * d.p)
     converged = True
+    evals = 0
     for i in range(d.p):
         ch = _ChannelData(phi, d.y[:, i])
-        alphas[i], scales[i], eb_sigma[i], ok = _fit_channel(ch, order, T, d.m)
+        alphas[i], scales[i], eb_sigma[i], ok, n_evals = _fit_channel(ch, order, T, d.m)
         converged &= ok
+        evals += n_evals + 1
         L = _gram_chol(order, alphas[i], T, d.m)
-        nlls[i], posterior_mean = _channel_fit(ch, L, scales[i], eb_sigma[i])
+        nlls[i], posterior_mean, _ = _channel_fit(ch, L, scales[i], eb_sigma[i])
         theta[i * T * d.m : (i + 1) * T * d.m] = posterior_mean()
     ir = ImpulseResponse(p=d.p, m=d.m, T=T, theta=theta)
     kernel = KernelModel(order=order, T=T, p=d.p, m=d.m, alphas=alphas, scales=scales)
     sigma = estimate_noise_variance(d, ir)
-    return SsResult(
-        ir=ir, kernel=kernel, sigma=sigma, eb_sigma=eb_sigma, nll=nlls, converged=converged
-    )
+    return SsResult(ir=ir, kernel=kernel, sigma=sigma, eb_sigma=eb_sigma, nll=nlls,
+                    converged=converged, evidence_evals=evals)
 
 
 def estimate_noise_variance(d: Dataset, ir: ImpulseResponse) -> np.ndarray:

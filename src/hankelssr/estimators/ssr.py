@@ -24,6 +24,7 @@ from ..core import (
     Dataset,
     HankelSpec,
     ImpulseResponse,
+    _lbfgsb,
     choose_hankel_shape,
     make_hankel_spec,
     one_blas_thread,
@@ -51,12 +52,11 @@ log = logging.getLogger("hankelssr.ssr")
 
 MIN_SAMPLES = 16  # smallest N with log(log(N)) > 0 in the bound-matrix threshold
 
-# Penalty-weight search: lambda1's box, lambda2's upper bound, lambda2's floor
-# as a fraction of the smoothness-only optimum, and evaluations per search.
+# Penalty-weight search: lambda1's box, lambda2's upper bound, and lambda2's
+# floor as a fraction of the smoothness-only optimum.
 LAMBDA1_BOUNDS = (1e-8, 1e6)
 LAMBDA2_MAX = 1e6
 LAMBDA2_FLOOR_RATIO = 1e-3
-NM_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class SsrResult:
     sigma: np.ndarray
     ss: SsResult
     lambda2_floor: float
+    evidence_evals: int  # evidence evaluations of this fit, its baseline's left out
     messages: list[str] = field(default_factory=list)
 
     @property
@@ -161,7 +162,8 @@ class _Workspace:
     h = L' Phi~'Y~ (Phi~, Y~ the noise-whitened regressor and outputs).  K is
     factored once; each bound matrix costs the eigenvalues of S; each
     evidence probe, the rank penalty on or off, then factors
-    lambda2 I + lambda1 S + G once.
+    lambda2 I + lambda1 S + G once, and its gradient adds one inverse from
+    that factor.  ``evals`` counts the evidence probes.
     """
 
     def __init__(self, d: Dataset, K: np.ndarray, sigma: np.ndarray, spec: HankelSpec):
@@ -191,6 +193,7 @@ class _Workspace:
         G = self.L.T @ AtA @ self.L
         self.G = 0.5 * (G + G.T)
         self.h = self.L.T @ Atb
+        self.evals = 0
 
     def rank_prior(self, R_Q: np.ndarray) -> _RankPrior:
         """Whitened form of a rank-penalty matrix, with eigenvalues only."""
@@ -216,13 +219,36 @@ class _Workspace:
         M.ravel()[:: self.dim + 1] += lambda2  # the diagonal, as a view
         return logdet_prior, np.linalg.cholesky(M)
 
-    def nll(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> float:
-        """Y~'Lam^-1 Y~ + log|Lam| of (lambda1, lambda2, Q) through the
-        theta-dimensional inversion and determinant lemmas."""
+    def _evidence(self, rp: _RankPrior | None, lambda1: float, lambda2: float):
+        """The evidence, the posterior factor C and w = C^-1 h."""
+        self.evals += 1
         logdet_prior, C = self._posterior(rp, lambda1, lambda2)
         w = linalg.solve_triangular(C, self.h, lower=True)
         logdet_post = 2.0 * float(np.sum(np.log(np.diag(C))))
-        return self.ybar_sq - float(w @ w) + self.log_sigma_term + logdet_post - logdet_prior
+        nll = self.ybar_sq - float(w @ w) + self.log_sigma_term + logdet_post - logdet_prior
+        return nll, C, w
+
+    def nll(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> float:
+        """Y~'Lam^-1 Y~ + log|Lam| of (lambda1, lambda2, Q) through the
+        theta-dimensional inversion and determinant lemmas."""
+        return self._evidence(rp, lambda1, lambda2)[0]
+
+    def nll_grad(self, rp: _RankPrior, lambda1: float, lambda2: float) -> tuple[float, np.ndarray]:
+        """The evidence and its gradient in (lambda1, lambda2).  With
+        M = lambda2 I + lambda1 S + G = C C', M^-1 from C (dpotri) and x = M^-1 h:
+          d/dlambda1 = x'Sx + tr(M^-1 S) - sum(mu / (lambda2 + lambda1 mu))
+          d/dlambda2 = x'x + tr(M^-1) - sum(1 / (lambda2 + lambda1 mu))
+        """
+        nll, C, w = self._evidence(rp, lambda1, lambda2)
+        x = linalg.solve_triangular(C, w, lower=True, trans="T")
+        # C's diagonal is positive, so dpotri cannot fail; it fills the lower triangle
+        M_inv = np.tril(linalg.lapack.dpotri(C, lower=1)[0])
+        tr_s = 2.0 * float(np.sum(M_inv * rp.S)) - float(np.diag(M_inv) @ np.diag(rp.S))
+        prior = lambda2 + lambda1 * rp.mu
+        return nll, np.array([
+            float(x @ rp.S @ x) + tr_s - float(np.sum(rp.mu / prior)),
+            float(x @ x) + float(np.trace(M_inv)) - float(np.sum(1.0 / prior)),
+        ])
 
     def map(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> np.ndarray:
         """Closed-form estimate [Phi~'Phi~ + A]^-1 Phi~'Y~ as theta = L x."""
@@ -259,30 +285,11 @@ def ssr_negative_log_ml(
     return ws.nll(rp, lambda1, lambda2)
 
 
-def _tracked_minimize(objective, x0, bounds, budget):
-    """Nelder-Mead within bounds, restarted once from the best point seen."""
-    best = {"f": np.inf, "x": np.asarray(x0, dtype=float)}
-
-    def wrapped(x):
-        f = objective(x)
-        if f < best["f"]:
-            best["f"] = f
-            best["x"] = np.array(x, dtype=float)
-        return f
-
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    x0 = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    first = max(int(budget * 0.6), 20)
-    optimize.minimize(
-        wrapped, x0, method="Nelder-Mead", bounds=bounds,
-        options={"maxfev": first, "xatol": 1e-3, "fatol": 1e-6},
-    )
-    optimize.minimize(
-        wrapped, np.clip(best["x"], lo, hi), method="Nelder-Mead", bounds=bounds,
-        options={"maxfev": max(budget - first, 20), "xatol": 1e-4, "fatol": 1e-8},
-    )
-    return best["x"], best["f"]
+def _lambda1_probe(lambda2: float) -> tuple[tuple[float, float], ...]:
+    """Eight lambda1 values log-spaced over LAMBDA1_BOUNDS, at lambda2: a local
+    first search could never leave the flat evidence near lambda1's lower bound."""
+    lo, hi = (math.log10(b) for b in LAMBDA1_BOUNDS)
+    return tuple((10.0 ** (lo + t * (hi - lo) / 7.0), lambda2) for t in range(8))
 
 
 def _optimize_lambdas(
@@ -290,13 +297,11 @@ def _optimize_lambdas(
     rp: _RankPrior,
     init: tuple[float, float],
     lambda2_floor: float,
-    extra_starts: tuple[tuple[float, float], ...] = (),
+    starts: tuple[tuple[float, float], ...] = (),
 ) -> tuple[float, float, float, bool]:
-    """Search the penalty weights in log space; never returns a worse point
-    than the initializer.  Returns (lambda1, lambda2, nll, kept_init)."""
-    l1_lo, l1_hi = (math.log10(b) for b in LAMBDA1_BOUNDS)
-    l2_lo = math.log10(max(lambda2_floor, 1e-300))
-    l2_hi = math.log10(LAMBDA2_MAX)
+    """L-BFGS-B in log10 lambda from the best of ``init`` and ``starts``; never
+    returns a worse point than the initializer.  Returns (lambda1, lambda2, nll, kept_init)."""
+    bounds = np.log10([LAMBDA1_BOUNDS, (max(lambda2_floor, 1e-300), LAMBDA2_MAX)])
 
     def safe_nll(lam1, lam2):
         try:
@@ -308,26 +313,18 @@ def _optimize_lambdas(
         # 10 ** log10(floor) can fall one ulp below the floor
         return 10.0 ** float(z[0]), max(10.0 ** float(z[1]), lambda2_floor)
 
-    def objective(z):
-        return safe_nll(*lambdas(z))
+    def nll_grad(z):
+        lam = lambdas(z)
+        f, g = ws.nll_grad(rp, *lam)
+        return f, math.log(10.0) * np.array(lam) * g
 
-    # Coarse probe along lambda1 before the simplex: the evidence is flat in
-    # lambda1 near its lower bound, so a purely local start can never leave it.
-    probe_l1 = [l1_lo + t * (l1_hi - l1_lo) / 7.0 for t in range(8)]
-    starts = [init, *extra_starts] + [(10.0**e, init[1]) for e in probe_l1]
-    logged = [
-        (
-            min(max(math.log10(max(l1, 1e-300)), l1_lo), l1_hi),
-            min(max(math.log10(max(l2, 1e-300)), l2_lo), l2_hi),
-        )
-        for l1, l2 in starts
-    ]
-    x0 = min(logged, key=lambda z: objective(z))
-    x, f = _tracked_minimize(objective, x0, [(l1_lo, l1_hi), (l2_lo, l2_hi)], NM_BUDGET)
+    logged = [np.clip(np.log10(np.maximum(s, 1e-300)), *bounds.T) for s in (init, *starts)]
+    z0 = min(logged, key=lambda z: safe_nll(*lambdas(z))) if starts else logged[0]
+    z, f, _ = _lbfgsb(nll_grad, z0, bounds)
     if not np.isfinite(f):
         log.warning("all lambda probes failed; keeping initializer")
         return init[0], init[1], safe_nll(*init), True
-    return *lambdas(x), f, False
+    return *lambdas(z), f, False
 
 
 def optimize_lambdas(
@@ -349,7 +346,7 @@ def optimize_lambdas(
     if lambda2_floor is None:
         lam2_l2, _ = _l2_only_lambda2(ws)
         lambda2_floor = LAMBDA2_FLOOR_RATIO * lam2_l2
-    lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor)
+    lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor, _lambda1_probe(init[1]))
     return lam1, lam2
 
 
@@ -418,7 +415,9 @@ def ssr_fit(
     fitted that on the same data.  The loop then alternates: tune (lambda1,
     lambda2) by evidence minimization for the current bound matrix,
     recompute the closed-form coefficient estimate those hyperparameters
-    induce, and refresh the bound matrix from its Hankel singular structure.  Iteration stops as soon as the
+    induce, and refresh the bound matrix from its Hankel singular structure.
+    The first lambda search starts from the best of a few probes; each later
+    one starts from the previous lambdas.  Iteration stops as soon as the
     evidence fails to strictly decrease (ties stop) or after max_iter; the
     returned coefficients are the closed-form estimate of the best-evidence
     hyperparameters found.  Any numerical failure inside the loop returns
@@ -466,9 +465,9 @@ def ssr_fit(
     lam1_bal = lam2_l2 * ws.trace_k_inv() / max(float(np.trace(R_Q)), 1e-300)
     lam1_bal = min(max(lam1_bal, lam1_lo), lam1_hi)
     init = (lam1_bal, lam2_l2)
-    extras = ((lam1_bal * 1e-2, lam2_l2),)
+    starts = ((lam1_bal * 1e-2, lam2_l2), *_lambda1_probe(lam2_l2))
 
-    lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, extras)
+    lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, starts)
     if kept:
         messages.append("initial lambda search failed; keeping initializer")
     trace = [make_state(0, lam1, lam2, Q, rp, nll)]
@@ -494,5 +493,6 @@ def ssr_fit(
         sigma=sigma,
         ss=ss_res,
         lambda2_floor=floor,
+        evidence_evals=ws.evals,
         messages=messages,
     )

@@ -38,6 +38,16 @@ def stable_spline_gram(order: int, alpha: float, T: int) -> np.ndarray:
     raise ValueError(f"order must be 1 or 2, got {order}")
 
 
+def _stable_spline_gram_dalpha(order: int, alpha: float, T: int) -> np.ndarray:
+    """stable_spline_gram(order, alpha, T) differentiated in alpha, term by term."""
+    idx = np.arange(1.0, T + 1)
+    mx = np.maximum.outer(idx, idx)
+    if order == 1:
+        return mx * alpha ** (mx - 1.0)
+    e = np.add.outer(idx, idx) + mx
+    return (e * alpha ** (e - 1.0) - mx * alpha ** (3.0 * mx - 1.0)) / 2.0
+
+
 @dataclass(frozen=True)
 class KernelModel:
     """Per-output stable-spline hyperparameters for a p x m system.

@@ -1,11 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from hankelssr import Dataset, ImpulseResponse, ss_estimate
 from hankelssr.core import predict_outputs, regressor_block
-from hankelssr.estimators.ss import estimate_noise_variance, ss_negative_log_ml
-from hankelssr.kernels import stable_spline_gram
+from hankelssr.estimators.ss import (
+    ALPHA_BOX,
+    LOG_SPAN,
+    _ChannelData,
+    _channel_fit,
+    _fit_channel,
+    _gram_chol,
+    _inputs_block,
+    _moment_init,
+    estimate_noise_variance,
+    ss_negative_log_ml,
+)
+from hankelssr.harness import run_seed
+from hankelssr.kernels import _stable_spline_gram_dalpha, stable_spline_gram
+from hankelssr.simulation import ScenarioConfig, make_scenario_data
 from oracles import dense_ss_evidence, ss_fixed_estimate
 
 
@@ -75,6 +92,68 @@ class TestSsNegativeLogMl:
             ss_negative_log_ml(d, T=2, order=1, alpha=0.5, scale=1.0, sigma=1.0)
 
 
+class TestChannelSearch:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 2),
+        T=st.integers(2, 10),
+        order=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+        alpha_t=st.floats(0.0, 1.0),
+        ln_scale=st.floats(-4.0, 4.0),
+        ln_sigma=st.floats(-4.0, 4.0),
+    )
+    def test_gradient_matches_central_differences(
+        self, m, T, order, seed, alpha_t, ln_scale, ln_sigma
+    ):
+        # gradient in (alpha, ln scale, ln sigma) over the whole search box,
+        # to 1e-5 relative with a floor of 1
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((30, m))
+        ch = _ChannelData(regressor_block(u, T), rng.standard_normal(30))
+        a_lo, a_hi = ALPHA_BOX[order]
+        alpha = a_lo + alpha_t * (a_hi - a_lo)
+
+        def f(a, ls, lg):
+            return _channel_fit(ch, _gram_chol(order, a, T, m), math.exp(ls), math.exp(lg))[0]
+
+        _, _, gradient = _channel_fit(
+            ch, _gram_chol(order, alpha, T, m), math.exp(ln_scale), math.exp(ln_sigma)
+        )
+        analytic = gradient(_inputs_block(_stable_spline_gram_dalpha(order, alpha, T), m))
+        ha, h = 1e-6, 1e-5
+        numeric = np.array([
+            (f(alpha + ha, ln_scale, ln_sigma) - f(alpha - ha, ln_scale, ln_sigma)) / (2 * ha),
+            (f(alpha, ln_scale + h, ln_sigma) - f(alpha, ln_scale - h, ln_sigma)) / (2 * h),
+            (f(alpha, ln_scale, ln_sigma + h) - f(alpha, ln_scale, ln_sigma - h)) / (2 * h),
+        ])
+        assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.maximum(np.abs(numeric), 1.0))
+
+    @pytest.mark.parametrize("order, m, seed", [(1, 1, 0), (2, 1, 1), (1, 2, 2), (2, 2, 3)])
+    def test_no_worse_than_grid(self, order, m, seed):
+        # the channel search's evidence is at least as good as the best
+        # point of a 15-point-per-axis grid over its (alpha, log10 scale,
+        # log10 sigma) box
+        T, N = 8, 60
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((N, m))
+        g = np.concatenate([0.7 ** np.arange(1, T + 1), -0.5 * 0.5 ** np.arange(1, T + 1)][:m])
+        ir = ImpulseResponse(p=1, m=m, T=T, theta=g)
+        y = predict_outputs(Dataset(u=u, y=np.zeros((N, 1))), ir)[:, 0]
+        ch = _ChannelData(regressor_block(u, T), y + 0.3 * rng.standard_normal(N))
+        alpha, scale, sigma, converged, _ = _fit_channel(ch, order, T, m)
+        found = _channel_fit(ch, _gram_chol(order, alpha, T, m), scale, sigma)[0]
+        ls0, lg0 = (math.log10(v) for v in _moment_init(ch, order, T, m))
+        best = np.inf
+        for a in np.linspace(*ALPHA_BOX[order], 15):
+            L = _gram_chol(order, a, T, m)
+            for ls in np.linspace(ls0 - LOG_SPAN, ls0 + LOG_SPAN, 15):
+                for lg in np.linspace(lg0 - LOG_SPAN, lg0 + LOG_SPAN, 15):
+                    best = min(best, _channel_fit(ch, L, 10.0**ls, 10.0**lg)[0])
+        assert converged
+        assert found <= best
+
+
 class TestSsEstimate:
     def test_near_interpolation_on_noiseless_data(self):
         T = 20
@@ -92,6 +171,14 @@ class TestSsEstimate:
         res = ss_estimate(d, 1, 20)
         scale = float(np.linalg.norm(y)) / float(np.linalg.norm(u))
         assert np.linalg.norm(res.ir.theta) <= 0.05 * scale
+
+    def test_converges_within_eval_budget_on_s1(self):
+        # s1, seed 1, run 0: every channel search meets its tolerance
+        cfg = ScenarioConfig.default("s1", runs=1, seed=1)
+        _, d = make_scenario_data(cfg, *run_seed(cfg.seed, cfg.scenario, 0).spawn(2))
+        res = ss_estimate(d, cfg.kernel_order, cfg.t)
+        assert res.converged is True
+        assert 0 < res.evidence_evals < 200
 
     def test_fixed_hyperparameters_match_ridge_oracle(self):
         rng = np.random.default_rng(7)

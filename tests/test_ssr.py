@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import linalg
 
 from hankelssr import Dataset, ImpulseResponse, ss_estimate, ssr_fit
@@ -13,7 +15,9 @@ from hankelssr.core import (
     weighted_hankel,
 )
 from hankelssr.estimators.ssr import (
+    LAMBDA1_BOUNDS,
     LAMBDA2_FLOOR_RATIO,
+    LAMBDA2_MAX,
     SsrOptions,
     _Workspace,
     _l2_only_lambda2,
@@ -23,8 +27,9 @@ from hankelssr.estimators.ssr import (
     ssr_negative_log_ml,
     update_q,
 )
+from hankelssr.harness import run_seed
 from hankelssr.kernels import KernelModel, assemble_prior
-from hankelssr.simulation import fit_metric
+from hankelssr.simulation import ScenarioConfig, fit_metric, make_scenario_data
 from oracles import (
     dense_evidence,
     engine_map,
@@ -285,17 +290,22 @@ class TestWorkspace:
         return ws, ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * 2), spec))
 
     def test_one_factorization_per_probe(self, monkeypatch):
-        # one dim x dim Cholesky per probe, the rank penalty on or off
+        # one dim x dim Cholesky per value probe, the rank penalty on or off,
+        # whichever LAPACK entry point computes it; a value-and-gradient
+        # probe adds one inverse from that factor and nothing else
         ws, ranked = self._workspace()
         calls = []
-        for module, name in [
-            (np.linalg, "cholesky"), (np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-            (linalg, "cholesky"), (linalg, "cho_factor"), (linalg, "eigh"),
+        for module, name, label in [
+            (np.linalg, "cholesky", "cholesky"), (linalg, "cholesky", "cholesky"),
+            (linalg, "cho_factor", "cholesky"), (linalg.lapack, "dpotrf", "cholesky"),
+            (np.linalg, "eigh", "eig"), (np.linalg, "eigvalsh", "eig"), (linalg, "eigh", "eig"),
+            (np.linalg, "inv", "inverse"), (linalg, "inv", "inverse"),
+            (linalg.lapack, "dpotri", "inverse"), (linalg.lapack, "dtrtri", "inverse"),
         ]:
             original = getattr(module, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
+            def counted(*args, _original=original, _label=label, **kwargs):
+                calls.append(_label)
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -305,6 +315,47 @@ class TestWorkspace:
         assert calls == ["cholesky"] * 2
         ws.map(None, 0.0, 1.2)
         assert calls == ["cholesky"] * 3
+        ws.nll_grad(ranked, 0.3, 1.2)
+        assert calls == ["cholesky"] * 4 + ["inverse"]
+        assert ws.evals == 3
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        p=st.integers(1, 2),
+        m=st.integers(1, 2),
+        T=st.integers(2, 10),
+        order=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+        log_l1=st.floats(-3.0, 3.0),
+        log_l2=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+    )
+    def test_gradient_matches_central_differences(self, p, m, T, order, seed, log_l1, log_l2):
+        # log_l2 None puts lambda2 on the floor the fit would use; the
+        # derivatives are taken in ln lambda, the search's coordinates up to
+        # a constant, to 1e-5 relative with a floor of 1
+        rng = np.random.default_rng(seed)
+        d = Dataset(u=rng.standard_normal((30, m)), y=rng.standard_normal((30, p)))
+        spec = make_hankel_spec(T, p, m)
+        km = KernelModel(
+            order=order, T=T, p=p, m=m,
+            alphas=rng.uniform(0.6, 0.95, p), scales=rng.uniform(0.5, 2.0, p),
+        )
+        ws = _Workspace(d, assemble_prior(km), rng.uniform(0.3, 2.0, p), spec)
+        rp = ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * p), spec))
+        lam1 = 10.0**log_l1
+        if log_l2 is None:
+            lam2 = LAMBDA2_FLOOR_RATIO * _l2_only_lambda2(ws)[0]
+        else:
+            lam2 = 10.0**log_l2
+        _, grad = ws.nll_grad(rp, lam1, lam2)
+        h = 1e-5
+
+        def f(a, b):
+            return ws.nll(rp, lam1 * math.exp(a), lam2 * math.exp(b))
+
+        numeric = np.array([f(h, 0) - f(-h, 0), f(0, h) - f(0, -h)]) / (2 * h)
+        analytic = np.array([lam1, lam2]) * grad
+        assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.maximum(np.abs(numeric), 1.0))
 
     def test_nonpositive_prior_is_a_failed_probe(self):
         ws, ranked = self._workspace()
@@ -398,6 +449,31 @@ class TestOptimizeLambdas:
         )
         assert 1e-8 <= lam1 <= 1e6
         assert lam2 >= 1e-4
+
+    @pytest.mark.parametrize(
+        "T, N, noise, second", [(8, 80, 0.3, 0.0), (12, 150, 0.2, 0.5), (6, 40, 0.5, 1.0), (10, 60, 1.0, 0.3)]
+    )
+    def test_no_worse_than_log_grid(self, T, N, noise, second):
+        # the returned evidence is at least as good as the best point of a
+        # 15 x 15 log grid of (lambda1, lambda2) spanning the search's box
+        k = np.arange(1, T + 1)
+        theta = 2.0 * 0.7**k + second * (-0.5) ** k
+        d, _ = _dataset_from_theta(theta, 1, 1, T, N, seed=40 + T, noise_std=noise)
+        spec = make_hankel_spec(T, 1, 1)
+        ss = ss_estimate(d, 1, T)
+        K = assemble_prior(ss.kernel)
+        ws = _Workspace(d, K, ss.sigma, spec)
+        lam2_star, _ = _l2_only_lambda2(ws)
+        floor = LAMBDA2_FLOOR_RATIO * lam2_star
+        Q = update_q(ss.ir, spec, N)
+        lam1, lam2 = optimize_lambdas(d, Q, K, ss.sigma, spec, (1.0, lam2_star), floor)
+        rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
+        grid = min(
+            ws.nll(rp, 10.0**a, 10.0**b)
+            for a in np.linspace(*np.log10(LAMBDA1_BOUNDS), 15)
+            for b in np.linspace(math.log10(floor), math.log10(LAMBDA2_MAX), 15)
+        )
+        assert ws.nll(rp, lam1, lam2) <= grid
 
     def test_rank_one_system_improves_on_smoothness_only(self):
         T, N = 12, 400
@@ -583,6 +659,15 @@ class TestSsrFit:
         for d, t, order, message in cases:
             with pytest.raises(ValueError, match=f"baseline was fitted for {message}"):
                 ssr_fit(d, t, order, baseline=baseline)
+
+    def test_evidence_evals_on_s1(self):
+        # s1, seed 1, run 0 with its baseline supplied: the evidence probes
+        # of the fit itself, the baseline's left out
+        cfg = ScenarioConfig.default("s1", runs=1, seed=1)
+        _, d = make_scenario_data(cfg, *run_seed(cfg.seed, cfg.scenario, 0).spawn(2))
+        baseline = ss_estimate(d, cfg.kernel_order, cfg.t)
+        res = ssr_fit(d, cfg.t, cfg.kernel_order, baseline=baseline)
+        assert 0 < res.evidence_evals < 100
 
     def test_final_lambda2_respects_floor(self):
         T, N = 8, 150
