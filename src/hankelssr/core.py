@@ -373,12 +373,20 @@ def one_blas_thread(fit):
     return scoped
 
 
+LBFGSB_GTOL = 1e-5  # scipy's default L-BFGS-B gtol, its projected-gradient tolerance
+
+
 def _lbfgsb(fun_grad, x0, bounds) -> tuple[np.ndarray, float, bool]:
     """L-BFGS-B on ``fun_grad(x) -> (f, gradient)`` in the box ``bounds`` from
     ``x0`` clipped into it: the best point evaluated, its value, and whether
-    the search met its tolerance with no failed probe (LinAlgError or
+    the search converged with no failed probe (LinAlgError or
     FloatingPointError, scored inf).  scipy's default ftol, 2.2e-9, can stop
-    an evidence search about 1e-9 relative above its optimum."""
+    an evidence search about 1e-9 relative above its optimum.
+
+    The search counts as converged when scipy reports success, or when the
+    projected gradient at the best point is at most ``LBFGSB_GTOL`` times
+    max(1, |f|): a line search that fails because the decrease left is below
+    what f resolves ends there, at the optimum but not "successful"."""
     probes = []
 
     def tracked(x):
@@ -386,15 +394,24 @@ def _lbfgsb(fun_grad, x0, bounds) -> tuple[np.ndarray, float, bool]:
             f, g = fun_grad(x)
         except (np.linalg.LinAlgError, FloatingPointError):
             f, g = np.inf, np.zeros_like(x)
-        probes.append((f, x.copy()))
+        probes.append((f, x.copy(), np.array(g, dtype=float)))
         return f, g
 
     x0 = np.clip(x0, *np.transpose(bounds))
     res = optimize.minimize(
         tracked, x0, jac=True, method="L-BFGS-B", bounds=bounds, options={"ftol": 1e-12}
     )
-    f, x = min(probes, key=lambda probe: probe[0])
-    return x, f, bool(res.success) and all(np.isfinite(value) for value, _ in probes)
+    f, x, g = min(probes, key=lambda probe: probe[0])
+    stationary = res.success or _projected_gradient(x, g, bounds) <= LBFGSB_GTOL * max(1.0, abs(f))
+    return x, f, bool(stationary) and all(np.isfinite(value) for value, _, _ in probes)
+
+
+def _projected_gradient(x, g, bounds) -> float:
+    """Largest entry of the gradient projected onto the box, as L-BFGS-B
+    measures it: a component pushing out through an active bound counts as
+    far as that bound allows."""
+    lo, hi = np.transpose(bounds)
+    return float(np.max(np.abs(np.where(g < 0, np.maximum(x - hi, g), np.minimum(x - lo, g)))))
 
 
 def write_dataset_csv(d: Dataset, path) -> None:

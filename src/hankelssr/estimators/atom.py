@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from ..core import Dataset, ImpulseResponse, one_blas_thread, regressor_block
 
@@ -54,6 +53,8 @@ def atom_dictionary(T: int) -> AtomDictionary:
     g(n+1) = 2 rho cos(theta) g(n) - rho^2 g(n-1).  C normalizes the
     truncated response to unit Euclidean norm.
     """
+    from scipy import signal  # deferred: importing it costs about 0.6 s
+
     if T < 2:
         raise ValueError("T must be >= 2")
     n_atoms = POLE_RADII.size * POLE_ANGLES.size

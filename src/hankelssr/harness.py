@@ -142,6 +142,11 @@ def run_study(config: ScenarioConfig, estimators, workers: int = 1) -> list[RunR
     if workers <= 1:
         reports = [run_single(*job) for job in jobs]
     else:
+        # s1 and s3 runs draw their inputs through scipy.signal, which the
+        # package imports only when needed; loaded once here, the forked
+        # workers inherit it instead of each importing it
+        from scipy import signal  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_single_star, jobs))
     return sorted(reports, key=lambda rep: rep.run)

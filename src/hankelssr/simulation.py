@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg, signal
+from scipy import linalg
 
 from .core import Dataset, ImpulseResponse
 
@@ -121,6 +121,8 @@ class ScenarioConfig:
 def scenario_s1(n: int, seed) -> tuple[TrueSystem, np.ndarray]:
     """Fixed fourth-order system; input is low-pass filtered white noise with
     a cutoff drawn uniformly from [0.8, 1] of the Nyquist band."""
+    from scipy import signal  # deferred: importing it costs about 0.6 s
+
     rng = np.random.default_rng(seed)
     zeta = rng.uniform(0.8, 1.0)
     white = rng.standard_normal(n)
@@ -163,6 +165,8 @@ def scenario_s2(n: int, seed) -> tuple[TrueSystem, np.ndarray]:
 def scenario_s3(n: int, seed) -> tuple[TrueSystem, np.ndarray]:
     """Random SISO system of order 1..30 with poles inside the radius-0.95
     disc; input is white noise colored by a random stable resonator."""
+    from scipy import signal  # deferred: importing it costs about 0.6 s
+
     rng = np.random.default_rng(seed)
     order = int(rng.integers(1, 31))
     sys = _random_stable_system(order, 0.95, 1, 1, rng)

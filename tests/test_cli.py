@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hankelssr
 from hankelssr import Dataset, ImpulseResponse, fit_metric, read_dataset_csv, write_dataset_csv
 from hankelssr.cli import main
 from hankelssr.simulation import read_system_json
@@ -224,6 +229,25 @@ class TestEstimateCommand:
         code = main(["estimate", "--data", str(data), "--estimator", "ssr", "--t", "4"])
         assert code == 3
         assert "ssr needs at least 16 samples, got 15" in capsys.readouterr().err
+
+    def test_estimate_loads_no_filtering_code(self, tmp_path):
+        # a fresh interpreter: scipy.signal (about 0.6 s to import) serves only
+        # the scenario generators and the atom dictionary, never `estimate`
+        rng = np.random.default_rng(10)
+        data = tmp_path / "siso_data.csv"
+        write_dataset_csv(Dataset(u=rng.standard_normal(60), y=rng.standard_normal(60)), data)
+        script = (
+            "import sys\n"
+            "from hankelssr import cli\n"
+            f"code = cli.main(['estimate', '--data', {str(data)!r}, '--estimator', 'ssr', '--t', '6'])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.signal' not in sys.modules, 'estimate imported scipy.signal'\n"
+        )
+        src = str(Path(hankelssr.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "siso_ssr_estimate.json").exists()
 
 
 class TestBenchmarkCommand:
