@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 
 from ..core import (
     Dataset,
@@ -125,22 +125,20 @@ class SsrResult:
 def rank_penalty_matrix(Q: np.ndarray, spec: HankelSpec) -> np.ndarray:
     """P' (W2 Q W2' kron W1'W1) P without materializing the Kronecker product.
 
-    P is the 0/1 selection matrix with P theta = vec(H(theta)'); its row rho
-    picks the single coefficient spec.row_src[rho], so the product is a
-    structured scatter of the two small Gram factors.
+    P is the 0/1 selection matrix with P theta = vec(H(theta)'), which puts
+    coefficient lag a + b at Hankel block (a, b).  So the block of R between
+    channels (i, j) and (i', j') is the full 2-D convolution of the r x r
+    block (i, i') of W2 Q W2' with the c x c block (j, j') of W1'W1, of size
+    T x T; all of them come from one FFT product.
     """
-    rp, cm = spec.r * spec.p, spec.c * spec.m
-    dim = spec.theta_dim
+    r, c, p, m, T = spec.r, spec.c, spec.p, spec.m, spec.T
     G2 = spec.W2 @ np.asarray(Q, dtype=float) @ spec.W2.T
     G1 = spec.W1.T @ spec.W1
-    idx = spec.row_src.reshape(rp, cm)
-    V = np.zeros((rp, dim, cm))
-    for beta in range(rp):
-        V[beta, idx[beta], :] = G1
-    Z = np.tensordot(G2, V, axes=(0, 0))
-    R = np.zeros((dim, dim))
-    for beta in range(rp):
-        R[:, idx[beta]] += Z[beta]
+    # [i, i', a, a'] and [j, j', b, b'] blocks of the two Gram factors
+    A = np.fft.rfft2(G2.reshape(r, p, r, p).transpose(1, 3, 0, 2), s=(T, T))
+    B = np.fft.rfft2(G1.reshape(c, m, c, m).transpose(1, 3, 0, 2), s=(T, T))
+    conv = np.fft.irfft2(A[:, :, None, None] * B, s=(T, T))  # [i, i', j, j', k, k']
+    R = conv.transpose(0, 2, 4, 1, 3, 5).reshape(spec.theta_dim, spec.theta_dim)
     return 0.5 * (R + R.T)
 
 
@@ -201,25 +199,18 @@ class _Workspace:
         S = 0.5 * (S + S.T)
         return _RankPrior(S=S, mu=np.linalg.eigvalsh(S))
 
-    def _posterior(self, rp: _RankPrior | None, lambda1: float, lambda2: float):
+    def _posterior(self, rp: _RankPrior, lambda1: float, lambda2: float):
         """log|lambda2 I + lambda1 S| and the lower Cholesky factor of the
         posterior precision lambda2 I + lambda1 S + G."""
-        if lambda1 == 0:
-            if not lambda2 > 0:
-                raise np.linalg.LinAlgError("prior precision not positive definite")
-            logdet_prior = self.dim * math.log(lambda2)
-            M = self.G.copy()
-        else:
-            prior = lambda2 + lambda1 * rp.mu
-            if not np.all(prior > 0):
-                raise np.linalg.LinAlgError("prior precision not positive definite")
-            logdet_prior = float(np.sum(np.log(prior)))
-            M = lambda1 * rp.S
-            M += self.G
+        prior = lambda2 + lambda1 * rp.mu
+        if not np.all(prior > 0):
+            raise np.linalg.LinAlgError("prior precision not positive definite")
+        M = lambda1 * rp.S
+        M += self.G
         M.ravel()[:: self.dim + 1] += lambda2  # the diagonal, as a view
-        return logdet_prior, np.linalg.cholesky(M)
+        return float(np.sum(np.log(prior))), np.linalg.cholesky(M)
 
-    def _evidence(self, rp: _RankPrior | None, lambda1: float, lambda2: float):
+    def _evidence(self, rp: _RankPrior, lambda1: float, lambda2: float):
         """The evidence, the posterior factor C and w = C^-1 h."""
         self.evals += 1
         logdet_prior, C = self._posterior(rp, lambda1, lambda2)
@@ -228,7 +219,7 @@ class _Workspace:
         nll = self.ybar_sq - float(w @ w) + self.log_sigma_term + logdet_post - logdet_prior
         return nll, C, w
 
-    def nll(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> float:
+    def nll(self, rp: _RankPrior, lambda1: float, lambda2: float) -> float:
         """Y~'Lam^-1 Y~ + log|Lam| of (lambda1, lambda2, Q) through the
         theta-dimensional inversion and determinant lemmas."""
         return self._evidence(rp, lambda1, lambda2)[0]
@@ -250,7 +241,7 @@ class _Workspace:
             float(x @ x) + float(np.trace(M_inv)) - float(np.sum(1.0 / prior)),
         ])
 
-    def map(self, rp: _RankPrior | None, lambda1: float, lambda2: float) -> np.ndarray:
+    def map(self, rp: _RankPrior, lambda1: float, lambda2: float) -> np.ndarray:
         """Closed-form estimate [Phi~'Phi~ + A]^-1 Phi~'Y~ as theta = L x."""
         _, C = self._posterior(rp, lambda1, lambda2)
         return self.L @ linalg.cho_solve((C, True), self.h)
@@ -281,7 +272,7 @@ def ssr_negative_log_ml(
     if lambda2 <= 0:
         raise ValueError("lambda2 must be positive")
     ws = _Workspace(d, K, sigma, spec)
-    rp = ws.rank_prior(rank_penalty_matrix(Q, spec)) if lambda1 > 0 else None
+    rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
     return ws.nll(rp, lambda1, lambda2)
 
 
@@ -344,28 +335,24 @@ def optimize_lambdas(
     ws = _Workspace(d, K, sigma, spec)
     rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
     if lambda2_floor is None:
-        lam2_l2, _ = _l2_only_lambda2(ws)
+        lam2_l2, _ = _l2_only_lambda2(ws, rp)
         lambda2_floor = LAMBDA2_FLOOR_RATIO * lam2_l2
     lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor, _lambda1_probe(init[1]))
     return lam1, lam2
 
 
-def _l2_only_lambda2(ws: _Workspace, lo: float = 1e-6, hi: float = 1e6) -> tuple[float, float]:
-    """Evidence-optimal smoothness weight with the rank penalty switched off."""
+def _l2_only_lambda2(ws: _Workspace, rp: _RankPrior) -> tuple[float, float]:
+    """Evidence-optimal smoothness weight with the rank penalty switched off
+    (lambda1 = 0, where ``rp`` drops out): L-BFGS-B in log10 lambda2 over
+    [1e-6, LAMBDA2_MAX] from lambda2 = 1, the baseline kernel's own scale."""
 
-    def objective(z):
-        try:
-            return ws.nll(None, 0.0, 10.0**z)
-        except np.linalg.LinAlgError:
-            return np.inf
+    def nll_grad(z):
+        lam2 = 10.0 ** float(z[0])
+        f, g = ws.nll_grad(rp, 0.0, lam2)
+        return f, np.array([math.log(10.0) * lam2 * g[1]])
 
-    res = optimize.minimize_scalar(
-        objective,
-        bounds=(math.log10(lo), math.log10(hi)),
-        method="bounded",
-        options={"xatol": 1e-4},
-    )
-    return 10.0 ** float(res.x), float(res.fun)
+    z, f, _ = _lbfgsb(nll_grad, np.zeros(1), np.log10([(1e-6, LAMBDA2_MAX)]))
+    return 10.0 ** float(z[0]), f
 
 
 def q_saturation(n_samples: int, n_rows: int) -> tuple[float, float]:
@@ -448,9 +435,6 @@ def ssr_fit(
     ws = _Workspace(d, K, sigma, spec)
     messages: list[str] = []
 
-    lam2_l2, _ = _l2_only_lambda2(ws)
-    floor = LAMBDA2_FLOOR_RATIO * lam2_l2
-
     def make_state(k, lam1, lam2, Q, rp, nll) -> SsrState:
         theta = ImpulseResponse(p=d.p, m=d.m, T=T, theta=ws.map(rp, lam1, lam2))
         hyper = SsrHyperparameters(lambda1=lam1, lambda2=lam2, Q=Q, sigma=sigma)
@@ -459,6 +443,8 @@ def ssr_fit(
     Q = update_q(ss_res.ir, spec, d.n)
     R_Q = rank_penalty_matrix(Q, spec)
     rp = ws.rank_prior(R_Q)
+    lam2_l2, _ = _l2_only_lambda2(ws, rp)
+    floor = LAMBDA2_FLOOR_RATIO * lam2_l2
 
     # balance the two penalty traces as a starting magnitude for lambda1
     lam1_lo, lam1_hi = LAMBDA1_BOUNDS

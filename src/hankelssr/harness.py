@@ -71,7 +71,13 @@ def run_seed(master_seed: int, scenario: str, run_index: int) -> np.random.SeedS
 
 
 def validate_estimators(names, scenario: str) -> list[str]:
+    """The estimator names as a list, or a ValueError when the list is empty,
+    names one twice or names one that ``scenario`` cannot run."""
     names = list(names)
+    if not names:
+        raise ValueError(f"no estimator given; choose from {ESTIMATORS}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"estimator names repeat in {names}")
     for name in names:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; choose from {ESTIMATORS}")

@@ -78,15 +78,15 @@ def stacked_ls(d: Dataset, A: np.ndarray, sigma, T: int) -> np.ndarray:
 def engine_map(d: Dataset, Q, lambda1: float, lambda2: float, K, sigma, spec) -> np.ndarray:
     """The estimator's closed-form estimate at the given hyperparameters."""
     ws = _Workspace(d, K, sigma, spec)
-    rp = ws.rank_prior(rank_penalty_matrix(Q, spec)) if lambda1 > 0 else None
+    rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
     return ws.map(rp, lambda1, lambda2)
 
 
 def map_from_precision(d: Dataset, A: np.ndarray, sigma) -> np.ndarray:
     """The estimator's closed-form estimate for a given prior precision A:
-    K = A^-1 with lambda2 = 1 and the rank penalty off."""
+    K = A^-1 with lambda2 = 1 and the rank penalty off (lambda1 = 0, Q = I)."""
     spec = make_hankel_spec(A.shape[0] // (d.m * d.p), d.p, d.m)
-    return engine_map(d, None, 0.0, 1.0, np.linalg.inv(A), sigma, spec)
+    return engine_map(d, np.eye(spec.r * spec.p), 0.0, 1.0, np.linalg.inv(A), sigma, spec)
 
 
 def ss_fixed_estimate(

@@ -319,6 +319,13 @@ class TestBenchmarkCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("estimators", ["", " , ", "ss,ss"])
+    def test_empty_or_repeated_estimators_are_usage_errors(self, tmp_path, capsys, estimators):
+        args = ["benchmark", "--scenario", "s3", "--runs", "2", "--estimators", estimators]
+        assert main(args + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())  # rejected before any run is simulated
+
     def test_bad_flags_exit_usage(self):
         assert main(["benchmark", "--scenario", "s7"]) == 3
         assert main(["nonsense"]) == 3

@@ -133,6 +133,10 @@ class TestRunStudy:
     def test_estimator_validation(self):
         with pytest.raises(ValueError):
             validate_estimators(["nope"], "s1")
+        with pytest.raises(ValueError, match="no estimator"):
+            validate_estimators([], "s3")
+        with pytest.raises(ValueError, match="repeat"):
+            validate_estimators(["ss", "ss"], "s3")
         with pytest.raises(ValueError, match="SISO"):
             validate_estimators(["atom"], "s1")
         assert validate_estimators(["ss", "atom"], "s3") == ["ss", "atom"]

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import linalg
+from scipy import linalg, optimize
 
 from hankelssr import Dataset, ImpulseResponse, ss_estimate, ssr_fit
 from hankelssr.core import (
@@ -67,17 +67,42 @@ def _dataset_from_theta(theta, p, m, T, N, seed, noise_std=0.0):
 
 
 class TestRankPenaltyMatrix:
+    @staticmethod
+    def _dense(Q, spec):
+        P = np.zeros((spec.row_src.size, spec.theta_dim))
+        P[np.arange(spec.row_src.size), spec.row_src] = 1.0
+        return P.T @ np.kron(spec.W2 @ Q @ spec.W2.T, spec.W1.T @ spec.W1) @ P
+
     def test_matches_dense_kronecker(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             spec = _random_spec(rng)
             rp = spec.r * spec.p
             Q = _random_pd(rng, rp)
-            R = rank_penalty_matrix(Q, spec)
-            P = np.zeros((spec.row_src.size, spec.theta_dim))
-            P[np.arange(spec.row_src.size), spec.row_src] = 1.0
-            dense = P.T @ np.kron(spec.W2 @ Q @ spec.W2.T, spec.W1.T @ spec.W1) @ P
-            np.testing.assert_allclose(R, dense, atol=1e-10)
+            np.testing.assert_allclose(rank_penalty_matrix(Q, spec), self._dense(Q, spec), atol=1e-10)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 3),
+        m=st.integers(1, 3),
+        T=st.integers(1, 12),
+        row_share=st.floats(0.0, 1.0),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # the transform size grows with T: one long MIMO case past the generated ones
+    @example(p=2, m=3, T=24, row_share=0.5, weighted=True, seed=4)
+    def test_matches_dense_kronecker_over_shapes(self, p, m, T, row_share, weighted, seed):
+        # every Hankel shape r + c - 1 = T, not only the near-square default
+        rng = np.random.default_rng(seed)
+        r = 1 + round(row_share * (T - 1))
+        spec = make_hankel_spec(T, p, m, r, T - r + 1)
+        if weighted:
+            W1 = rng.standard_normal((spec.c * m, spec.c * m)) + 2 * np.eye(spec.c * m)
+            W2 = rng.standard_normal((r * p, r * p)) + 2 * np.eye(r * p)
+            spec = make_hankel_spec(T, p, m, r, spec.c, W1, W2)
+        Q = _random_pd(rng, r * p)
+        np.testing.assert_allclose(rank_penalty_matrix(Q, spec), self._dense(Q, spec), atol=1e-10)
 
     def test_trace_identity(self):
         # quadratic form equals tr[H~ H~' Q] for random instances
@@ -274,9 +299,10 @@ class TestSsrNegativeLogMl:
     def test_evidence_increases_away_from_lambda2_optimum(self):
         d, spec, K, sigma, Q = self._setup(12, N=60, T=5)
         ws = _Workspace(d, K, sigma, spec)
-        lam2_star, nll_star = _l2_only_lambda2(ws)
-        up = ws.nll(None, 0.0, lam2_star * 10)
-        down = ws.nll(None, 0.0, lam2_star / 10)
+        rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
+        lam2_star, nll_star = _l2_only_lambda2(ws, rp)
+        up = ws.nll(rp, 0.0, lam2_star * 10)
+        down = ws.nll(rp, 0.0, lam2_star / 10)
         assert up > nll_star and down > nll_star
 
 
@@ -290,9 +316,10 @@ class TestWorkspace:
         return ws, ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * 2), spec))
 
     def test_one_factorization_per_probe(self, monkeypatch):
-        # one dim x dim Cholesky per value probe, the rank penalty on or off,
-        # whichever LAPACK entry point computes it; a value-and-gradient
-        # probe adds one inverse from that factor and nothing else
+        # one dim x dim Cholesky per value probe, lambda1 = 0 included (the
+        # same rank prior, switched off by its weight), whichever LAPACK entry
+        # point computes it; a value-and-gradient probe adds one inverse from
+        # that factor and nothing else
         ws, ranked = self._workspace()
         calls = []
         for module, name, label in [
@@ -311,9 +338,9 @@ class TestWorkspace:
             monkeypatch.setattr(module, name, counted)
         ws.nll(ranked, 0.3, 1.2)
         assert calls == ["cholesky"]
-        ws.nll(None, 0.0, 1.2)
+        ws.nll(ranked, 0.0, 1.2)
         assert calls == ["cholesky"] * 2
-        ws.map(None, 0.0, 1.2)
+        ws.map(ranked, 0.0, 1.2)
         assert calls == ["cholesky"] * 3
         ws.nll_grad(ranked, 0.3, 1.2)
         assert calls == ["cholesky"] * 4 + ["inverse"]
@@ -344,7 +371,7 @@ class TestWorkspace:
         rp = ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * p), spec))
         lam1 = 10.0**log_l1
         if log_l2 is None:
-            lam2 = LAMBDA2_FLOOR_RATIO * _l2_only_lambda2(ws)[0]
+            lam2 = LAMBDA2_FLOOR_RATIO * _l2_only_lambda2(ws, rp)[0]
         else:
             lam2 = 10.0**log_l2
         _, grad = ws.nll_grad(rp, lam1, lam2)
@@ -362,7 +389,7 @@ class TestWorkspace:
         with pytest.raises(np.linalg.LinAlgError):
             ws.nll(ranked, 1.0, -1e6)
         with pytest.raises(np.linalg.LinAlgError):
-            ws.nll(None, 0.0, -1.0)
+            ws.nll(ranked, 0.0, -1.0)
 
     def test_prior_covariance_must_be_positive_definite(self):
         rng = np.random.default_rng(31)
@@ -403,11 +430,31 @@ class TestOptimizeLambdas:
         K = assemble_prior(KernelModel(order=1, T=T, p=1, m=1, alphas=[0.7], scales=[1.0]))
         sigma = np.array([0.01])
         ws = _Workspace(d, K, sigma, spec)
-        assert _l2_only_lambda2(ws, lo=1e-9)[0] < floor
+        rp = ws.rank_prior(rank_penalty_matrix(np.eye(spec.r), spec))
+        assert _l2_only_lambda2(ws, rp)[0] < floor
         _, lam2 = optimize_lambdas(
             d, np.eye(spec.r), K, sigma, spec, (1e-3, 1.0), lambda2_floor=floor
         )
         assert lam2 >= floor
+
+    def test_l2_only_search_no_worse_than_bounded_brent(self):
+        # the smoothness-only lambda2 search ends at or below the evidence of
+        # a bounded Brent search over the same interval on scenario data
+        for scenario in ("s1", "s2", "s3"):
+            cfg = ScenarioConfig.default(scenario, runs=3, seed=1)
+            for run in range(3):
+                _, d = make_scenario_data(cfg, *run_seed(cfg.seed, scenario, run).spawn(2))
+                ss = ss_estimate(d, cfg.kernel_order, cfg.t)
+                spec = make_hankel_spec(cfg.t, d.p, d.m)
+                ws = _Workspace(d, assemble_prior(ss.kernel), ss.sigma, spec)
+                rp = ws.rank_prior(rank_penalty_matrix(update_q(ss.ir, spec, d.n), spec))
+                brent = optimize.minimize_scalar(
+                    lambda z: ws.nll(rp, 0.0, 10.0**z),
+                    bounds=(-6.0, 6.0),
+                    method="bounded",
+                    options={"xatol": 1e-4},
+                )
+                assert _l2_only_lambda2(ws, rp)[1] <= brent.fun, (scenario, run)
 
     def test_full_order_data_gains_little_from_rank_penalty(self):
         # With true order = Hankel rows there is no rank deficiency to
@@ -421,9 +468,9 @@ class TestOptimizeLambdas:
             ss = ss_estimate(d, 1, T)
             K = assemble_prior(ss.kernel)
             ws = _Workspace(d, K, ss.sigma, spec)
-            lam2_star, nll0 = _l2_only_lambda2(ws)
             Q = update_q(ss.ir, spec, N)
             rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
+            lam2_star, nll0 = _l2_only_lambda2(ws, rp)
             best = nll0
             for g1 in [1e-8, 1e-4, 1e-2, 1e-1, 1.0, 10.0, 1e2]:
                 for g2 in [0.01, 0.1, 0.3, 1.0, 3.0]:
@@ -463,11 +510,11 @@ class TestOptimizeLambdas:
         ss = ss_estimate(d, 1, T)
         K = assemble_prior(ss.kernel)
         ws = _Workspace(d, K, ss.sigma, spec)
-        lam2_star, _ = _l2_only_lambda2(ws)
-        floor = LAMBDA2_FLOOR_RATIO * lam2_star
         Q = update_q(ss.ir, spec, N)
-        lam1, lam2 = optimize_lambdas(d, Q, K, ss.sigma, spec, (1.0, lam2_star), floor)
         rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
+        lam2_star, _ = _l2_only_lambda2(ws, rp)
+        floor = LAMBDA2_FLOOR_RATIO * lam2_star
+        lam1, lam2 = optimize_lambdas(d, Q, K, ss.sigma, spec, (1.0, lam2_star), floor)
         grid = min(
             ws.nll(rp, 10.0**a, 10.0**b)
             for a in np.linspace(*np.log10(LAMBDA1_BOUNDS), 15)
@@ -484,7 +531,7 @@ class TestOptimizeLambdas:
         sigma = np.array([0.04])
         Q = update_q(ir, spec, N)
         ws = _Workspace(d, K, sigma, spec)
-        lam2_star, nll_l2 = _l2_only_lambda2(ws)
+        lam2_star, nll_l2 = _l2_only_lambda2(ws, ws.rank_prior(rank_penalty_matrix(Q, spec)))
         lam1, lam2 = optimize_lambdas(d, Q, K, sigma, spec, (1.0, lam2_star), lambda2_floor=1e-6)
         nll_opt = ssr_negative_log_ml(d, Q, lam1, lam2, K, sigma, spec)
         assert nll_opt < nll_l2
@@ -606,10 +653,11 @@ class TestSsrFit:
         # then the engine's closed-form estimate at lambda1 = 0
         K = assemble_prior(res.ss.kernel)
         ws = _Workspace(d, K, res.sigma, res.spec)
-        lam2_star, _ = _l2_only_lambda2(ws)
+        rp = ws.rank_prior(rank_penalty_matrix(update_q(res.ss.ir, res.spec, N), res.spec))
+        lam2_star, _ = _l2_only_lambda2(ws, rp)
         assert res.lambda2_floor == pytest.approx(LAMBDA2_FLOOR_RATIO * lam2_star, rel=1e-12)
         oracle = stacked_ls(d, lam2_star * np.linalg.inv(K), res.sigma, T)
-        np.testing.assert_allclose(ws.map(None, 0.0, lam2_star), oracle, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(ws.map(rp, 0.0, lam2_star), oracle, rtol=1e-4, atol=1e-8)
 
     def test_too_short_record_rejected_before_baseline(self, monkeypatch):
         def no_baseline(*args, **kwargs):
