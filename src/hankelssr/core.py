@@ -4,14 +4,16 @@ Truncated MIMO impulse responses are stored as flat coefficient vectors in
 channel-major layout.  This module provides the shared machinery: lagged-input
 regressors, block Hankel matrices, the row indices that place each
 coefficient in the vectorized transposed Hankel matrix, (optional)
-row/column weighting estimated from data, and the one-BLAS-thread scope
-every fit runs in.
+row/column weighting estimated from data, the one-BLAS-thread scope
+every fit runs in, and the in-place LAPACK Cholesky factor and triangular
+solve every evidence probe is made of.
 """
 from __future__ import annotations
 
 import csv
 import ctypes
 import functools
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -371,6 +373,40 @@ def one_blas_thread(fit):
             blas_threads(saved)
 
     return scoped
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor C of the symmetric positive definite ``a`` and
+    log|a| = 2 sum(log diag C), from one LAPACK ``dpotrf`` run in place.
+
+    ``a`` is a C-ordered float64 buffer the caller owns and gives up: it is
+    factored as ``a.T``, the same matrix for a symmetric ``a`` and a
+    Fortran-ordered view of its storage, so nothing is copied and ``a`` is
+    overwritten by the factor, returned Fortran-ordered with its upper
+    triangle zero.  Raises LinAlgError when ``a`` is not positive definite or
+    the log-determinant is not finite: OpenBLAS's dpotrf passes NaN pivots
+    through with info 0, so that one scalar check stands in for scanning ``a``.
+    ``dpotrf`` is looked up on ``linalg.lapack`` at each call, so a test can
+    count the factorizations.
+    """
+    c, info = linalg.lapack.dpotrf(a.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    logdet = 2.0 * float(np.sum(np.log(c.diagonal())))
+    if not math.isfinite(logdet):
+        raise np.linalg.LinAlgError("matrix is not finite")
+    return c, logdet
+
+
+def _solve_lower(c: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """C^-1 b (``trans`` 0) or C^-T b (``trans`` 1) for a lower-triangular C
+    with a nonzero diagonal, such as a factor from ``_cholesky``, by one LAPACK
+    ``dtrtrs``; ``b`` is left as it was.  No finiteness scan: callers check
+    the scalar they compute from the result."""
+    x, info = linalg.lapack.dtrtrs(c, b, lower=1, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError("triangular factor is singular")
+    return x
 
 
 LBFGSB_GTOL = 1e-5  # scipy's default L-BFGS-B gtol, its projected-gradient tolerance

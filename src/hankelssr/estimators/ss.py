@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 
-from ..core import Dataset, ImpulseResponse, _lbfgsb, one_blas_thread, predict_outputs
-from ..core import regressor_block
+from ..core import Dataset, ImpulseResponse, _cholesky, _lbfgsb, _solve_lower, one_blas_thread
+from ..core import predict_outputs, regressor_block
 from ..kernels import KernelModel, _stable_spline_gram_dalpha, stable_spline_gram
 
 __all__ = [
@@ -53,8 +53,9 @@ def _inputs_block(G: np.ndarray, m: int) -> np.ndarray:
 
 
 def _gram_chol(order: int, alpha: float, T: int, m: int) -> np.ndarray:
-    """Lower Cholesky of the unscaled m-input kernel block (block diagonal)."""
-    return _inputs_block(np.linalg.cholesky(stable_spline_gram(order, alpha, T)), m)
+    """Lower Cholesky of the unscaled m-input kernel block (block diagonal):
+    one in-place ``dpotrf`` of the T x T Gram matrix."""
+    return _inputs_block(_cholesky(stable_spline_gram(order, alpha, T))[0], m)
 
 
 def _channel_fit(
@@ -69,20 +70,23 @@ def _channel_fit(
       d/dalpha    = scale [tr(Z dK) - v' dK v]
       d/dln scale = tm - sigma tr(M^-1) - scale |u|^2
       d/dln sigma = (n - tm) + sigma tr(M^-1) - (yy - scale w'w - scale sigma |u|^2) / sigma
+    M is built in a buffer of its own and factored there by one ``dpotrf``
+    (``core._cholesky``); the solves are ``dtrtrs``.  ``ch`` and ``L`` are
+    left as they were.  A probe whose factor or evidence is not finite raises
+    LinAlgError or FloatingPointError, which the search scores as failed.
     """
     CL = ch.C @ L
     M = scale * (L.T @ CL)
     M[np.diag_indices_from(M)] += sigma
-    R = np.linalg.cholesky(M)
-    bk = L.T @ ch.b
-    w = linalg.solve_triangular(R, bk, lower=True)
+    R, logdet_m = _cholesky(M)
+    w = _solve_lower(R, L.T @ ch.b)
     quad = (ch.yy - scale * float(w @ w)) / sigma
-    logdet = (ch.n - ch.tm) * math.log(sigma) + 2.0 * float(
-        np.sum(np.log(np.diag(R)))
-    )
+    nll = quad + (ch.n - ch.tm) * math.log(sigma) + logdet_m
+    if not math.isfinite(nll):
+        raise FloatingPointError("channel evidence is not finite")
 
     def posterior_mean() -> np.ndarray:
-        return scale * (L @ linalg.solve_triangular(R, w, lower=True, trans="T"))
+        return scale * (L @ _solve_lower(R, w, trans=1))
 
     def gradient(dK: np.ndarray) -> np.ndarray:
         R_inv = linalg.lapack.dtrtri(R, lower=1)[0]  # R's diagonal is positive
@@ -96,7 +100,7 @@ def _channel_fit(
         d_sigma = ch.n - ch.tm + sigma * tr_m_inv - quad + scale * uu
         return np.array([d_alpha, d_scale, d_sigma])
 
-    return quad + logdet, posterior_mean, gradient
+    return nll, posterior_mean, gradient
 
 
 def ss_negative_log_ml(
@@ -167,7 +171,7 @@ def _fit_channel(
         for x in ([a, ls0 + ds, lg0 + dg] for ds in (-2.0, 0.0, 2.0) for dg in (-2.0, 0.0, 1.0)):
             try:
                 grid.append((_channel_fit(ch, L, 10.0 ** x[1], 10.0 ** x[2])[0], x))
-            except np.linalg.LinAlgError:
+            except (np.linalg.LinAlgError, FloatingPointError):
                 grid.append((np.inf, x))
     evals = len(grid)
 

@@ -24,7 +24,9 @@ from ..core import (
     Dataset,
     HankelSpec,
     ImpulseResponse,
+    _cholesky,
     _lbfgsb,
+    _solve_lower,
     choose_hankel_shape,
     make_hankel_spec,
     one_blas_thread,
@@ -157,11 +159,16 @@ class _Workspace:
     prior precision lambda2 K^-1 + lambda1 R_Q becomes lambda2 I + lambda1 S,
     S = L' R_Q L, with log-determinant sum(log(lambda2 + lambda1 mu)) over the
     eigenvalues mu of S, and the data term becomes G = L' Phi~'Phi~ L with
-    h = L' Phi~'Y~ (Phi~, Y~ the noise-whitened regressor and outputs).  K is
-    factored once; each bound matrix costs the eigenvalues of S; each
-    evidence probe, the rank penalty on or off, then factors
-    lambda2 I + lambda1 S + G once, and its gradient adds one inverse from
-    that factor.  ``evals`` counts the evidence probes.
+    h = L' Phi~'Y~ (Phi~, Y~ the noise-whitened regressor and outputs).  A
+    copy of K is factored once; each bound matrix costs the eigenvalues of S;
+    each evidence or MAP probe, the rank penalty on or off, then factors
+    lambda2 I + lambda1 S + G, built in a buffer of its own, with one
+    in-place ``dpotrf`` (``core._cholesky``) and solves with that factor by
+    ``dtrtrs``; a gradient probe adds one ``dpotri`` in the same buffer.
+    Nothing the workspace or the caller holds is overwritten.  A probe whose
+    factor or evidence is not finite raises LinAlgError or
+    FloatingPointError, which the searches score as a failed probe.
+    ``evals`` counts the evidence probes.
     """
 
     def __init__(self, d: Dataset, K: np.ndarray, sigma: np.ndarray, spec: HankelSpec):
@@ -173,7 +180,7 @@ class _Workspace:
         T = spec.T
         self.dim = T * d.m * d.p
         try:
-            self.L = np.linalg.cholesky(np.asarray(K, dtype=float))
+            self.L = _cholesky(np.array(K, dtype=float))[0]
         except np.linalg.LinAlgError:
             raise ValueError("prior covariance K is not positive definite") from None
 
@@ -200,23 +207,25 @@ class _Workspace:
         return _RankPrior(S=S, mu=np.linalg.eigvalsh(S))
 
     def _posterior(self, rp: _RankPrior, lambda1: float, lambda2: float):
-        """log|lambda2 I + lambda1 S| and the lower Cholesky factor of the
-        posterior precision lambda2 I + lambda1 S + G."""
+        """log|lambda2 I + lambda1 S|, the lower Cholesky factor C of the
+        posterior precision lambda2 I + lambda1 S + G, and log|C C'|."""
         prior = lambda2 + lambda1 * rp.mu
         if not np.all(prior > 0):
             raise np.linalg.LinAlgError("prior precision not positive definite")
-        M = lambda1 * rp.S
+        M = lambda1 * rp.S  # a new buffer, which the factor overwrites
         M += self.G
         M.ravel()[:: self.dim + 1] += lambda2  # the diagonal, as a view
-        return float(np.sum(np.log(prior))), np.linalg.cholesky(M)
+        return float(np.sum(np.log(prior))), *_cholesky(M)
 
     def _evidence(self, rp: _RankPrior, lambda1: float, lambda2: float):
-        """The evidence, the posterior factor C and w = C^-1 h."""
+        """The evidence, the posterior factor C and w = C^-1 h; a non-finite
+        evidence is a FloatingPointError."""
         self.evals += 1
-        logdet_prior, C = self._posterior(rp, lambda1, lambda2)
-        w = linalg.solve_triangular(C, self.h, lower=True)
-        logdet_post = 2.0 * float(np.sum(np.log(np.diag(C))))
+        logdet_prior, C, logdet_post = self._posterior(rp, lambda1, lambda2)
+        w = _solve_lower(C, self.h)
         nll = self.ybar_sq - float(w @ w) + self.log_sigma_term + logdet_post - logdet_prior
+        if not math.isfinite(nll):
+            raise FloatingPointError("evidence is not finite")
         return nll, C, w
 
     def nll(self, rp: _RankPrior, lambda1: float, lambda2: float) -> float:
@@ -226,14 +235,16 @@ class _Workspace:
 
     def nll_grad(self, rp: _RankPrior, lambda1: float, lambda2: float) -> tuple[float, np.ndarray]:
         """The evidence and its gradient in (lambda1, lambda2).  With
-        M = lambda2 I + lambda1 S + G = C C', M^-1 from C (dpotri) and x = M^-1 h:
+        M = lambda2 I + lambda1 S + G = C C', M^-1 from C (dpotri, in C's own
+        buffer) and x = M^-1 h:
           d/dlambda1 = x'Sx + tr(M^-1 S) - sum(mu / (lambda2 + lambda1 mu))
           d/dlambda2 = x'x + tr(M^-1) - sum(1 / (lambda2 + lambda1 mu))
         """
         nll, C, w = self._evidence(rp, lambda1, lambda2)
-        x = linalg.solve_triangular(C, w, lower=True, trans="T")
-        # C's diagonal is positive, so dpotri cannot fail; it fills the lower triangle
-        M_inv = np.tril(linalg.lapack.dpotri(C, lower=1)[0])
+        x = _solve_lower(C, w, trans=1)
+        # C's diagonal is positive, so dpotri cannot fail; it fills the lower
+        # triangle and leaves the factor's zero upper triangle as it is
+        M_inv = linalg.lapack.dpotri(C, lower=1, overwrite_c=1)[0]
         tr_s = 2.0 * float(np.sum(M_inv * rp.S)) - float(np.diag(M_inv) @ np.diag(rp.S))
         prior = lambda2 + lambda1 * rp.mu
         return nll, np.array([
@@ -243,12 +254,12 @@ class _Workspace:
 
     def map(self, rp: _RankPrior, lambda1: float, lambda2: float) -> np.ndarray:
         """Closed-form estimate [Phi~'Phi~ + A]^-1 Phi~'Y~ as theta = L x."""
-        _, C = self._posterior(rp, lambda1, lambda2)
-        return self.L @ linalg.cho_solve((C, True), self.h)
+        _, C, _ = self._posterior(rp, lambda1, lambda2)
+        return self.L @ _solve_lower(C, _solve_lower(C, self.h), trans=1)
 
     def trace_k_inv(self) -> float:
         """tr(K^-1) = |L^-1|_F^2."""
-        L_inv = linalg.solve_triangular(self.L, np.eye(self.dim), lower=True)
+        L_inv = _solve_lower(self.L, np.eye(self.dim))
         return float(np.sum(L_inv**2))
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy
+from scipy import linalg
 
 from hankelssr import Dataset, ImpulseResponse, read_dataset_csv, write_dataset_csv
 from hankelssr.core import (
+    _cholesky,
+    _solve_lower,
     blas_threads,
     build_hankel,
     choose_hankel_shape,
@@ -340,3 +343,48 @@ class TestOneBlasThread:
                     assert blas_threads() == {"numpy": 2, "scipy": 2}
         finally:
             blas_threads(caller)
+
+
+class TestCholeskyPrimitive:
+    @staticmethod
+    def _spd(n, seed):
+        a = np.random.default_rng(seed).standard_normal((n, n))
+        return a @ a.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 240])
+    def test_factor_and_solves_match_numpy_and_scipy(self, n):
+        # the in-place dpotrf factor against numpy's Cholesky, its
+        # log-determinant against slogdet, and the dtrtrs solves against
+        # solve_triangular, all to 1e-13 relative
+        M = self._spd(n, n)
+        ref = np.linalg.cholesky(M)
+        buf = M.copy()
+        C, logdet = _cholesky(buf)
+        assert np.shares_memory(C, buf)  # factored where it lay, no copy
+        assert np.linalg.norm(C - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert not np.any(np.triu(C, 1))
+        assert logdet == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-13)
+        B = np.random.default_rng(n + 1).standard_normal((n, 3))
+        for trans in (0, 1):
+            for b in (B, B[:, 0]):
+                expected = linalg.solve_triangular(ref, b, lower=True, trans=trans)
+                found = _solve_lower(C, b, trans=trans)
+                assert found.shape == b.shape
+                assert np.linalg.norm(found - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 240])
+    def test_non_positive_definite_and_nan_raise(self, n):
+        M = self._spd(n, n)
+        indefinite = M.copy()
+        indefinite[n - 1, n - 1] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(indefinite)
+        for i, j in {(0, 0), (n - 1, 0), (n - 1, n - 1)}:
+            bad = M.copy()
+            bad[i, j] = bad[j, i] = np.nan
+            with pytest.raises(np.linalg.LinAlgError):
+                _cholesky(bad)
+        bad = M.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(bad)

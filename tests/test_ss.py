@@ -154,6 +154,72 @@ class TestChannelSearch:
         assert found <= best
 
 
+class TestChannelProbe:
+    @staticmethod
+    def _channel(m=2, T=6, seed=33):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((40, m))
+        return _ChannelData(regressor_block(u, T), rng.standard_normal(40))
+
+    def test_one_factorization_per_probe(self, monkeypatch):
+        # _gram_chol is one T x T Cholesky, a value probe one tm x tm
+        # Cholesky, whichever LAPACK entry point computes it, and its
+        # gradient adds one triangular inverse of that factor and nothing else
+        order, T, m = 1, 6, 2
+        ch = self._channel(m, T)
+        dK = _inputs_block(_stable_spline_gram_dalpha(order, 0.8, T), m)
+        calls = []
+        for module, name, label in [
+            (np.linalg, "cholesky", "cholesky"), (linalg, "cholesky", "cholesky"),
+            (linalg, "cho_factor", "cholesky"), (linalg.lapack, "dpotrf", "cholesky"),
+            (np.linalg, "eigh", "eig"), (np.linalg, "eigvalsh", "eig"), (linalg, "eigh", "eig"),
+            (np.linalg, "inv", "inverse"), (linalg, "inv", "inverse"),
+            (linalg.lapack, "dpotri", "inverse"), (linalg.lapack, "dtrtri", "inverse"),
+        ]:
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _label=label, **kwargs):
+                calls.append(_label)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        L = _gram_chol(order, 0.8, T, m)
+        assert calls == ["cholesky"]
+        _, posterior_mean, gradient = _channel_fit(ch, L, 1.5, 0.4)
+        assert calls == ["cholesky"] * 2
+        posterior_mean()
+        assert calls == ["cholesky"] * 2
+        gradient(dK)
+        assert calls == ["cholesky"] * 2 + ["inverse"]
+
+    def test_probe_leaves_its_inputs_unchanged(self):
+        # the probe factors in a buffer of its own: the channel's C and b,
+        # the kernel factor L and dK stay byte-equal, and a repeated probe
+        # returns the same bits
+        order, T, m = 2, 6, 2
+        ch = self._channel(m, T)
+        L = _gram_chol(order, 0.8, T, m)
+        dK = _inputs_block(_stable_spline_gram_dalpha(order, 0.8, T), m)
+        held = [ch.C, ch.b, L, dK]
+        before = [a.tobytes() for a in held]
+        results = []
+        for _ in range(2):
+            nll, posterior_mean, gradient = _channel_fit(ch, L, 1.5, 0.4)
+            results.append((nll, posterior_mean(), gradient(dK), posterior_mean()))
+        first, again = results
+        assert first[0] == again[0]
+        for a, b in zip(first[1:], again[1:]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(first[1], first[3])  # the gradient left the factor alone
+        assert [a.tobytes() for a in held] == before
+
+    def test_non_finite_evidence_is_a_failed_probe(self):
+        ch = self._channel()
+        ch.yy = np.inf
+        with pytest.raises(FloatingPointError):
+            _channel_fit(ch, _gram_chol(1, 0.8, 6, 2), 1.5, 0.4)
+
+
 class TestSsEstimate:
     def test_near_interpolation_on_noiseless_data(self):
         T = 20

@@ -384,6 +384,34 @@ class TestWorkspace:
         analytic = np.array([lam1, lam2]) * grad
         assert np.all(np.abs(analytic - numeric) <= 1e-5 * np.maximum(np.abs(numeric), 1.0))
 
+    def test_probes_leave_their_inputs_unchanged(self):
+        # every probe factors in a buffer of its own: the caller's K, the
+        # workspace's L, G and h and the rank prior's S stay byte-equal, and
+        # a repeated probe returns the same bits
+        rng = np.random.default_rng(32)
+        d = Dataset(u=rng.standard_normal((40, 1)), y=rng.standard_normal((40, 2)))
+        spec = make_hankel_spec(6, 2, 1)
+        km = KernelModel(order=1, T=6, p=2, m=1, alphas=[0.8, 0.7], scales=[1.0, 2.0])
+        K = assemble_prior(km)
+        K_bytes = K.tobytes()
+        ws = _Workspace(d, K, np.array([0.5, 1.5]), spec)
+        rp = ws.rank_prior(rank_penalty_matrix(_random_pd(rng, spec.r * 2), spec))
+        held = [ws.L, ws.G, ws.h, rp.S, rp.mu]
+        before = [a.tobytes() for a in held]
+        for lam1 in (0.0, 0.3):
+            first = (ws.nll(rp, lam1, 1.2), *ws.nll_grad(rp, lam1, 1.2), ws.map(rp, lam1, 1.2))
+            again = (ws.nll(rp, lam1, 1.2), *ws.nll_grad(rp, lam1, 1.2), ws.map(rp, lam1, 1.2))
+            assert first[0] == again[0] == first[1] == again[1]
+            assert np.array_equal(first[2], again[2]) and np.array_equal(first[3], again[3])
+        assert K.tobytes() == K_bytes
+        assert [a.tobytes() for a in held] == before
+
+    def test_non_finite_evidence_is_a_failed_probe(self):
+        ws, ranked = self._workspace()
+        ws.h = np.full_like(ws.h, np.nan)
+        with pytest.raises(FloatingPointError):
+            ws.nll(ranked, 0.3, 1.2)
+
     def test_nonpositive_prior_is_a_failed_probe(self):
         ws, ranked = self._workspace()
         with pytest.raises(np.linalg.LinAlgError):
