@@ -2,8 +2,8 @@
 data, and run full Monte Carlo studies.
 
 Exit codes: 0 success, 2 I/O error, 3 usage or compatibility error,
-4 more than 20% of study runs failed.  Set HANKEL_SSR_LOG=debug|info|...
-for verbosity.
+4 more than 20% of study runs failed.  Set HANKEL_SSR_LOG to debug, info,
+warning (the default), error or critical for verbosity.
 """
 from __future__ import annotations
 
@@ -232,8 +232,14 @@ def cmd_benchmark(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HANKEL_SSR_LOG", "").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    name = os.environ.get("HANKEL_SSR_LOG", "")
+    level = name.upper()
+    if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
+        if name:
+            print(f"warning: HANKEL_SSR_LOG={name!r} is not one of debug, info, warning, "
+                  "error, critical; using warning", file=sys.stderr)
+        level = "WARNING"
+    logging.basicConfig(level=getattr(logging, level))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -77,7 +77,7 @@ def _channel_fit(
     """
     CL = ch.C @ L
     M = scale * (L.T @ CL)
-    M[np.diag_indices_from(M)] += sigma
+    M.ravel()[:: M.shape[0] + 1] += sigma
     R, logdet_m = _cholesky(M)
     w = _solve_lower(R, L.T @ ch.b)
     quad = (ch.yy - scale * float(w @ w)) / sigma
@@ -142,38 +142,77 @@ class SsResult:
     evidence_evals: int  # channel evidence evaluations, grid and final ones included
 
 
-def _moment_init(ch: _ChannelData, order: int, T: int, m: int) -> tuple[float, float]:
+class _SeedGrid:
+    """The kernel work of the channel searches that depends on the data only
+    through C = phi'phi, done once per dataset and shared by every output.
+
+    ``gain`` is the moment initializers' signal gain tr(K0 C) / n, K0 the
+    unscaled kernel at alpha = 0.8.  For each of the three grid decays a,
+    with L its kernel factor, one eigendecomposition L'CL = V diag(d) V'
+    gives M = scale L'CL + sigma I = V diag(scale d + sigma) V', so a
+    channel's evidence at any (scale, sigma) costs O(tm) once z = V'L'b is
+    known:
+      (yy - scale sum z^2 / (scale d + sigma)) / sigma
+        + (n - tm) log sigma + sum log(scale d + sigma),
+    the value ``_channel_fit`` computes through a Cholesky of M.
+    """
+
+    def __init__(self, C: np.ndarray, n: int, order: int, T: int, m: int):
+        self.order, self.T, self.m = order, T, m
+        K0 = _inputs_block(stable_spline_gram(order, 0.8, T), m)
+        self.gain = max(float(np.sum(K0 * C)) / n, NOISE_FLOOR)
+        a_lo, a_hi = ALPHA_BOX[order]
+        self.spectra = []
+        for a in (max(a_lo, 0.6), 0.8, min(a_hi, 0.95)):
+            L = _gram_chol(order, a, T, m)
+            d, V = np.linalg.eigh(L.T @ (C @ L))
+            self.spectra.append((a, L, d, V))
+
+    def points(self, ch: _ChannelData, ls0: float, lg0: float) -> list[tuple[float, list]]:
+        """The 27 seed points [alpha, log10 scale, log10 sigma] around
+        (ls0, lg0), each with the channel's evidence there.  A point whose
+        evidence is not finite, which includes any with a non-positive
+        scale d + sigma (its log is nan or -inf), scores inf as a failed
+        Cholesky probe would."""
+        steps = [(ds, dg) for ds in (-2.0, 0.0, 2.0) for dg in (-2.0, 0.0, 1.0)]
+        out = []
+        for a, L, d, V in self.spectra:
+            z2 = (V.T @ (L.T @ ch.b)) ** 2
+            xs = [[a, ls0 + ds, lg0 + dg] for ds, dg in steps]
+            scale = np.array([10.0 ** x[1] for x in xs])
+            sigma = np.array([10.0 ** x[2] for x in xs])
+            ev = scale[:, None] * d + sigma[:, None]
+            with np.errstate(all="ignore"):
+                nll = ((ch.yy - scale * np.sum(z2 / ev, axis=1)) / sigma
+                       + (ch.n - ch.tm) * np.log(sigma) + np.sum(np.log(ev), axis=1))
+            nll[~np.isfinite(nll)] = np.inf
+            out.extend(zip(nll.tolist(), xs))
+        return out
+
+
+def _moment_init(ch: _ChannelData, grid: _SeedGrid) -> tuple[float, float]:
     """Scale/noise initializers matched to the output second moment."""
     var_y = max(ch.yy / ch.n, NOISE_FLOOR)
-    K0 = _inputs_block(stable_spline_gram(order, 0.8, T), m)
-    signal_gain = max(float(np.sum(K0 * ch.C)) / ch.n, NOISE_FLOOR)
-    return var_y / signal_gain, 0.25 * var_y
+    return var_y / grid.gain, 0.25 * var_y
 
 
-def _fit_channel(
-    ch: _ChannelData, order: int, T: int, m: int
-) -> tuple[float, float, float, bool, int]:
+def _fit_channel(ch: _ChannelData, grid: _SeedGrid) -> tuple[float, float, float, bool, int]:
     """Empirical-Bayes search for one output channel.
 
     Returns (alpha, scale, sigma, converged, evals).  L-BFGS-B with the
     analytic gradient over (alpha, log10 scale, log10 sigma), started from
-    the best point of a coarse grid; ``evals`` counts evidence evaluations,
-    the grid's included.
+    the best of the 27 points of the dataset's shared seed grid (no
+    factorization per point); every search probe is one Cholesky of the
+    kernel and one of M.  ``evals`` counts evidence evaluations, the grid's
+    included.
     """
+    order, T, m = grid.order, grid.T, grid.m
     a_lo, a_hi = ALPHA_BOX[order]
-    scale0, sigma0 = _moment_init(ch, order, T, m)
+    scale0, sigma0 = _moment_init(ch, grid)
     ls0, lg0 = math.log10(scale0), math.log10(sigma0)
     bounds = [(a_lo, a_hi), (ls0 - LOG_SPAN, ls0 + LOG_SPAN), (lg0 - LOG_SPAN, lg0 + LOG_SPAN)]
-
-    grid = []
-    for a in (max(a_lo, 0.6), 0.8, min(a_hi, 0.95)):
-        L = _gram_chol(order, a, T, m)
-        for x in ([a, ls0 + ds, lg0 + dg] for ds in (-2.0, 0.0, 2.0) for dg in (-2.0, 0.0, 1.0)):
-            try:
-                grid.append((_channel_fit(ch, L, 10.0 ** x[1], 10.0 ** x[2])[0], x))
-            except (np.linalg.LinAlgError, FloatingPointError):
-                grid.append((np.inf, x))
-    evals = len(grid)
+    seeds = grid.points(ch, ls0, lg0)
+    evals = len(seeds)
 
     def nll_grad(x):
         nonlocal evals
@@ -182,7 +221,7 @@ def _fit_channel(
         dK = _inputs_block(_stable_spline_gram_dalpha(order, x[0], T), m)
         return f, gradient(dK) * [1.0, math.log(10.0), math.log(10.0)]
 
-    x0 = min(grid, key=lambda fx: fx[0])[1]
+    x0 = min(seeds, key=lambda fx: fx[0])[1]
     x, _, converged = _lbfgsb(nll_grad, x0, bounds)
     if not converged:
         log.debug("channel evidence search stopped short of its tolerance; keeping best point")
@@ -192,8 +231,13 @@ def _fit_channel(
 @one_blas_thread
 def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
     """Baseline estimate: per-output empirical Bayes, then the posterior mean,
-    computed with one BLAS thread (see ``core.one_blas_thread``)."""
+    computed with one BLAS thread (see ``core.one_blas_thread``).
+
+    The seed grid's kernel work (three kernel factors and three
+    eigendecompositions of L'CL) is done once and shared by all outputs.
+    """
     phi = regressor_block(d.u, T)
+    grid = _SeedGrid(phi.T @ phi, d.n, order, T, d.m)
     alphas = np.empty(d.p)
     scales = np.empty(d.p)
     eb_sigma = np.empty(d.p)
@@ -203,7 +247,7 @@ def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
     evals = 0
     for i in range(d.p):
         ch = _ChannelData(phi, d.y[:, i])
-        alphas[i], scales[i], eb_sigma[i], ok, n_evals = _fit_channel(ch, order, T, d.m)
+        alphas[i], scales[i], eb_sigma[i], ok, n_evals = _fit_channel(ch, grid)
         converged &= ok
         evals += n_evals + 1
         L = _gram_chol(order, alphas[i], T, d.m)

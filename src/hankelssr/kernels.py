@@ -30,22 +30,30 @@ def stable_spline_gram(order: int, alpha: float, T: int) -> np.ndarray:
         raise ValueError("T must be >= 1")
     idx = np.arange(1, T + 1)
     mx = np.maximum.outer(idx, idx)
+    pw = _powers(alpha, T)
     if order == 1:
-        return alpha ** mx.astype(float)
+        return pw[mx]
     if order == 2:
-        sm = np.add.outer(idx, idx)
-        return alpha ** (sm + mx).astype(float) / 2.0 - alpha ** (3.0 * mx) / 6.0
+        return pw[np.add.outer(idx, idx) + mx] / 2.0 - pw[3 * mx] / 6.0
     raise ValueError(f"order must be 1 or 2, got {order}")
+
+
+def _powers(alpha: float, T: int) -> np.ndarray:
+    """alpha^k for k = 0 .. 3T, every exponent a Gram entry or its derivative
+    uses: the kernels index this table with integer exponent matrices instead
+    of calling pow once per entry (same values, entry for entry)."""
+    return alpha ** np.arange(3.0 * T + 1)
 
 
 def _stable_spline_gram_dalpha(order: int, alpha: float, T: int) -> np.ndarray:
     """stable_spline_gram(order, alpha, T) differentiated in alpha, term by term."""
-    idx = np.arange(1.0, T + 1)
+    idx = np.arange(1, T + 1)
     mx = np.maximum.outer(idx, idx)
+    pw = _powers(alpha, T)
     if order == 1:
-        return mx * alpha ** (mx - 1.0)
+        return mx * pw[mx - 1]
     e = np.add.outer(idx, idx) + mx
-    return (e * alpha ** (e - 1.0) - mx * alpha ** (3.0 * mx - 1.0)) / 2.0
+    return (e * pw[e - 1] - mx * pw[3 * mx - 1]) / 2.0
 
 
 @dataclass(frozen=True)

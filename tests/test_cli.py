@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -352,3 +353,44 @@ class TestBenchmarkCommand:
         code = main(["simulate", "--scenario", "s3", "--runs", "0", "--out", str(tmp_path)])
         assert code == 3
         assert "n, t and runs must be positive" in capsys.readouterr().err
+
+
+class TestLogLevel:
+    @staticmethod
+    def _levels(monkeypatch, value):
+        levels = []
+        monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+        monkeypatch.setenv("HANKEL_SSR_LOG", value)
+        return levels
+
+    @pytest.mark.parametrize(
+        "value, level",
+        [("debug", logging.DEBUG), ("INFO", logging.INFO), ("Warning", logging.WARNING),
+         ("error", logging.ERROR), ("critical", logging.CRITICAL), ("", logging.WARNING)],
+    )
+    def test_standard_level_names(self, tmp_path, monkeypatch, capsys, value, level):
+        levels = self._levels(monkeypatch, value)
+        _simulate(tmp_path, n=30, t=4)
+        assert levels == [level]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["basic_format", "warn", "notset", "10"])
+    def test_other_names_fall_back_to_warning(self, tmp_path, monkeypatch, capsys, value):
+        levels = self._levels(monkeypatch, value)
+        _simulate(tmp_path, n=30, t=4)
+        assert levels == [logging.WARNING]
+        err = capsys.readouterr().err
+        assert err.startswith(f"warning: HANKEL_SSR_LOG={value!r} is not one of ")
+        assert err.count("\n") == 1
+
+    def test_name_that_is_not_a_level_runs_the_command(self, tmp_path):
+        # a fresh interpreter, where basicConfig takes effect: before, a
+        # logging attribute that is not a level crashed with a traceback
+        src = str(Path(hankelssr.__file__).parents[1])
+        env = dict(os.environ, HANKEL_SSR_LOG="basic_format",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        cmd = [sys.executable, "-m", "hankelssr.cli", "simulate", "--scenario", "s3",
+               "--n", "30", "--t", "4", "--out", str(tmp_path)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("\n") == 1 and "using warning" in done.stderr

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from hankelssr.kernels import KernelModel, assemble_prior, stable_spline_gram
+from hankelssr.kernels import (
+    KernelModel,
+    _stable_spline_gram_dalpha,
+    assemble_prior,
+    stable_spline_gram,
+)
 
 
 class TestStableSplineGram:
@@ -33,6 +38,32 @@ class TestStableSplineGram:
     def test_order_domain(self):
         with pytest.raises(ValueError):
             stable_spline_gram(3, 0.5, 4)
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match=r"^alpha must lie strictly in \(0, 1\), got 1.0$"):
+            stable_spline_gram(1, 1.0, 4)
+        with pytest.raises(ValueError, match=r"^T must be >= 1$"):
+            stable_spline_gram(1, 0.5, 0)
+        with pytest.raises(ValueError, match=r"^order must be 1 or 2, got 3$"):
+            stable_spline_gram(3, 0.5, 4)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("T", [1, 2, 7, 60, 80])
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.8123, 0.95, 0.999])
+    def test_equal_to_the_power_formulas(self, order, T, alpha):
+        # the Gram and its alpha-derivative, entry for entry the same bits as
+        # one pow per entry of the defining formulas
+        idx = np.arange(1.0, T + 1)
+        mx = np.maximum.outer(idx, idx)
+        e = np.add.outer(idx, idx) + mx
+        if order == 1:
+            gram = alpha**mx
+            dalpha = mx * alpha ** (mx - 1.0)
+        else:
+            gram = alpha**e / 2.0 - alpha ** (3.0 * mx) / 6.0
+            dalpha = (e * alpha ** (e - 1.0) - mx * alpha ** (3.0 * mx - 1.0)) / 2.0
+        assert np.array_equal(stable_spline_gram(order, alpha, T), gram)
+        assert np.array_equal(_stable_spline_gram_dalpha(order, alpha, T), dalpha)
 
 
 class TestAssemblePrior:

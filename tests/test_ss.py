@@ -12,6 +12,7 @@ from hankelssr.estimators.ss import (
     ALPHA_BOX,
     LOG_SPAN,
     _ChannelData,
+    _SeedGrid,
     _channel_fit,
     _fit_channel,
     _gram_chol,
@@ -141,9 +142,10 @@ class TestChannelSearch:
         ir = ImpulseResponse(p=1, m=m, T=T, theta=g)
         y = predict_outputs(Dataset(u=u, y=np.zeros((N, 1))), ir)[:, 0]
         ch = _ChannelData(regressor_block(u, T), y + 0.3 * rng.standard_normal(N))
-        alpha, scale, sigma, converged, _ = _fit_channel(ch, order, T, m)
+        grid = _SeedGrid(ch.C, N, order, T, m)
+        alpha, scale, sigma, converged, _ = _fit_channel(ch, grid)
         found = _channel_fit(ch, _gram_chol(order, alpha, T, m), scale, sigma)[0]
-        ls0, lg0 = (math.log10(v) for v in _moment_init(ch, order, T, m))
+        ls0, lg0 = (math.log10(v) for v in _moment_init(ch, grid))
         best = np.inf
         for a in np.linspace(*ALPHA_BOX[order], 15):
             L = _gram_chol(order, a, T, m)
@@ -218,6 +220,106 @@ class TestChannelProbe:
         ch.yy = np.inf
         with pytest.raises(FloatingPointError):
             _channel_fit(ch, _gram_chol(1, 0.8, 6, 2), 1.5, 0.4)
+
+
+def _count_factorizations(monkeypatch) -> list[str]:
+    """Record every Cholesky, eigendecomposition and inverse, whichever
+    numpy/scipy/LAPACK entry point computes it."""
+    calls = []
+    for module, name, label in [
+        (np.linalg, "cholesky", "cholesky"), (linalg, "cholesky", "cholesky"),
+        (linalg, "cho_factor", "cholesky"), (linalg.lapack, "dpotrf", "cholesky"),
+        (np.linalg, "eigh", "eig"), (np.linalg, "eigvalsh", "eig"), (linalg, "eigh", "eig"),
+        (linalg.lapack, "dsyevd", "eig"), (linalg.lapack, "dsyevr", "eig"),
+        (np.linalg, "inv", "inverse"), (linalg, "inv", "inverse"),
+        (linalg.lapack, "dpotri", "inverse"), (linalg.lapack, "dtrtri", "inverse"),
+    ]:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _label=label, **kwargs):
+            calls.append(_label)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _s1_run0() -> Dataset:
+    cfg = ScenarioConfig.default("s1", runs=1, seed=1)
+    return make_scenario_data(cfg, *run_seed(cfg.seed, cfg.scenario, 0).spawn(2))[1]
+
+
+class TestSeedGrid:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        T=st.integers(1, 12),
+        N=st.integers(16, 60),
+        order=st.sampled_from([1, 2]),
+        data=st.sampled_from(["noisy", "zero input", "constant input", "zero output", "noiseless"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_spectral_values_match_the_cholesky_probe(self, m, T, N, order, data, seed):
+        # at all 27 seed points the O(tm) spectral evidence equals
+        # _channel_fit's to 1e-9 relative with a floor of 1, with the same
+        # failed points and the same best point
+        rng = np.random.default_rng(seed)
+        if data == "zero input":
+            u = np.zeros((N, m))
+        elif data == "constant input":
+            u = np.full((N, m), rng.standard_normal())
+        else:
+            u = rng.standard_normal((N, m))
+        phi = regressor_block(u, T)
+        if data == "zero output":
+            y = np.zeros(N)
+        elif data == "noiseless":
+            y = phi @ rng.standard_normal(T * m)
+        else:
+            y = rng.standard_normal(N)
+        ch = _ChannelData(phi, y)
+        grid = _SeedGrid(ch.C, N, order, T, m)
+        ls0, lg0 = (math.log10(v) for v in _moment_init(ch, grid))
+        points = grid.points(ch, ls0, lg0)
+        a_lo, a_hi = ALPHA_BOX[order]
+        assert [x for _, x in points] == [
+            [a, ls0 + ds, lg0 + dg]
+            for a in (max(a_lo, 0.6), 0.8, min(a_hi, 0.95))
+            for ds in (-2.0, 0.0, 2.0)
+            for dg in (-2.0, 0.0, 1.0)
+        ]
+        spectral = np.array([f for f, _ in points])
+        probed = []
+        for _, (a, ls, lg) in points:
+            try:
+                probed.append(_channel_fit(ch, _gram_chol(order, a, T, m), 10.0**ls, 10.0**lg)[0])
+            except (np.linalg.LinAlgError, FloatingPointError):
+                probed.append(np.inf)
+        probed = np.array(probed)
+        finite = np.isfinite(probed)
+        assert np.array_equal(np.isfinite(spectral), finite)
+        err = np.abs(spectral[finite] - probed[finite])
+        assert np.all(err <= 1e-9 * np.maximum(np.abs(probed[finite]), 1.0))
+        assert np.argmin(spectral) == np.argmin(probed)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_three_eigendecompositions_per_dataset(self, p, monkeypatch):
+        # the seed grid factors the kernel and eigendecomposes L'CL once per
+        # grid decay, whatever the number of outputs; its 27 points per
+        # channel factor nothing, and every search probe and final fit is
+        # one Cholesky of the kernel and one of M, with no eigendecomposition
+        d = _s1_run0()
+        d = Dataset(u=d.u, y=d.y[:, :p])
+        calls = _count_factorizations(monkeypatch)
+        res = ss_estimate(d, 1, 20)
+        assert calls[:6] == ["cholesky", "eig"] * 3
+        assert "eig" not in calls[6:]
+        assert calls.count("cholesky") == 3 + 2 * (res.evidence_evals - 27 * p)
+
+    def test_s1_evidence_evals_pinned(self):
+        # s1, seed 1, run 0: 27 grid points, the search probes and one final
+        # evaluation per channel
+        assert ss_estimate(_s1_run0(), 1, 80).evidence_evals == 136
 
 
 class TestSsEstimate:
