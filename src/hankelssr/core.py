@@ -187,32 +187,14 @@ def choose_hankel_shape(T: int, p: int, m: int) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _hankel_row_sources(T: int, p: int, m: int, r: int, c: int) -> np.ndarray:
-    """Theta index selected by each row of the vec(H^T) map, vec column-major."""
-    a = np.repeat(np.arange(r), p)  # block row of each H row
-    i = np.tile(np.arange(p), r)  # output index of each H row
-    b = np.repeat(np.arange(c), m)  # block column of each H column
-    j = np.tile(np.arange(m), c)  # input index of each H column
-    # vec(H^T) entry (alpha + c*m*beta) = H[beta, alpha] = theta[(i*m + j)*T + a + b]
-    src = ((i * m)[:, None] + j[None, :]) * T + a[:, None] + b[None, :]
-    return src.reshape(-1).astype(np.intp)
-
-
 @dataclass(frozen=True)
 class HankelSpec:
-    """Shape, vectorization indices and weighting for the block Hankel matrix.
-
-    ``row_src[rho]`` is the theta index that lands in entry rho of
-    vec(H(theta)^T), so ``theta[row_src]`` vectorizes the transposed Hankel
-    matrix; in matrix form it is the 0/1 selection matrix P with one 1 per
-    row.
-    """
+    """Shape and weighting for the block Hankel matrix."""
 
     r: int
     c: int
     p: int
     m: int
-    row_src: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
 
@@ -220,16 +202,10 @@ class HankelSpec:
         if self.r < 1 or self.c < 1:
             raise ValueError("r and c must be >= 1")
         rp, cm = self.r * self.p, self.c * self.m
-        row_src = np.asarray(self.row_src, dtype=np.intp).reshape(-1)
-        if row_src.size != rp * cm:
-            raise ValueError("row_src has wrong length")
         W1 = np.asarray(self.W1, dtype=float)
         W2 = np.asarray(self.W2, dtype=float)
         if W1.shape != (cm, cm) or W2.shape != (rp, rp):
             raise ValueError("weight matrices have wrong shape")
-        row_src = row_src.copy()
-        row_src.flags.writeable = False
-        object.__setattr__(self, "row_src", row_src)
         object.__setattr__(self, "W1", _owned(W1))
         object.__setattr__(self, "W2", _owned(W2))
 
@@ -291,7 +267,6 @@ def make_hankel_spec(
         c=c,
         p=p,
         m=m,
-        row_src=_hankel_row_sources(T, p, m, r, c),
         W1=np.eye(c * m) if W1 is None else W1,
         W2=np.eye(r * p) if W2 is None else W2,
     )

@@ -37,12 +37,13 @@ LOG_SPAN = 6.0
 
 
 class _ChannelData:
-    """Cached per-channel regression quantities (phi'phi, phi'y, y'y)."""
+    """Cached per-channel regression quantities: C = phi'phi, which every
+    output of a dataset shares and the caller computes once, phi'y and y'y."""
 
-    def __init__(self, phi: np.ndarray, y: np.ndarray):
+    def __init__(self, phi: np.ndarray, C: np.ndarray, y: np.ndarray):
         self.n = y.size
         self.tm = phi.shape[1]
-        self.C = phi.T @ phi
+        self.C = C
         self.b = phi.T @ y
         self.yy = float(y @ y)
 
@@ -119,7 +120,7 @@ def ss_negative_log_ml(
     if scale < 0:
         raise ValueError("scale must be nonnegative")
     phi = regressor_block(d.u, T)
-    ch = _ChannelData(phi, d.y[:, 0])
+    ch = _ChannelData(phi, phi.T @ phi, d.y[:, 0])
     L = _gram_chol(order, alpha, T, d.m)
     try:
         return _channel_fit(ch, L, scale, sigma)[0]
@@ -233,11 +234,12 @@ def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
     """Baseline estimate: per-output empirical Bayes, then the posterior mean,
     computed with one BLAS thread (see ``core.one_blas_thread``).
 
-    The seed grid's kernel work (three kernel factors and three
-    eigendecompositions of L'CL) is done once and shared by all outputs.
+    phi'phi and the seed grid's kernel work (three kernel factors and three
+    eigendecompositions of L'CL) are done once and shared by all outputs.
     """
     phi = regressor_block(d.u, T)
-    grid = _SeedGrid(phi.T @ phi, d.n, order, T, d.m)
+    C = phi.T @ phi
+    grid = _SeedGrid(C, d.n, order, T, d.m)
     alphas = np.empty(d.p)
     scales = np.empty(d.p)
     eb_sigma = np.empty(d.p)
@@ -246,7 +248,7 @@ def ss_estimate(d: Dataset, order: int, T: int) -> SsResult:
     converged = True
     evals = 0
     for i in range(d.p):
-        ch = _ChannelData(phi, d.y[:, i])
+        ch = _ChannelData(phi, C, d.y[:, i])
         alphas[i], scales[i], eb_sigma[i], ok, n_evals = _fit_channel(ch, grid)
         converged &= ok
         evals += n_evals + 1

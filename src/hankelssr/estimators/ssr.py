@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -55,7 +55,9 @@ log = logging.getLogger("hankelssr.ssr")
 MIN_SAMPLES = 16  # smallest N with log(log(N)) > 0 in the bound-matrix threshold
 
 # Penalty-weight search: lambda1's box, lambda2's upper bound, and lambda2's
-# floor as a fraction of the smoothness-only optimum.
+# floor.  lambda2 multiplies the inverse of a kernel that already carries the
+# baseline's evidence-optimal scale, so lambda2 = 1 is that scale and the
+# floor is a fraction of it.
 LAMBDA1_BOUNDS = (1e-8, 1e6)
 LAMBDA2_MAX = 1e6
 LAMBDA2_FLOOR_RATIO = 1e-3
@@ -117,7 +119,6 @@ class SsrResult:
     ss: SsResult
     lambda2_floor: float
     evidence_evals: int  # evidence evaluations of this fit, its baseline's left out
-    messages: list[str] = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -300,9 +301,9 @@ def _optimize_lambdas(
     init: tuple[float, float],
     lambda2_floor: float,
     starts: tuple[tuple[float, float], ...] = (),
-) -> tuple[float, float, float, bool]:
+) -> tuple[float, float, float]:
     """L-BFGS-B in log10 lambda from the best of ``init`` and ``starts``; never
-    returns a worse point than the initializer.  Returns (lambda1, lambda2, nll, kept_init)."""
+    returns a worse point than the initializer.  Returns (lambda1, lambda2, nll)."""
     bounds = np.log10([LAMBDA1_BOUNDS, (max(lambda2_floor, 1e-300), LAMBDA2_MAX)])
 
     def safe_nll(lam1, lam2):
@@ -325,8 +326,8 @@ def _optimize_lambdas(
     z, f, _ = _lbfgsb(nll_grad, z0, bounds)
     if not np.isfinite(f):
         log.warning("all lambda probes failed; keeping initializer")
-        return init[0], init[1], safe_nll(*init), True
-    return *lambdas(z), f, False
+        return init[0], init[1], safe_nll(*init)
+    return *lambdas(z), f
 
 
 def optimize_lambdas(
@@ -336,34 +337,17 @@ def optimize_lambdas(
     sigma: np.ndarray,
     spec: HankelSpec,
     init: tuple[float, float],
-    lambda2_floor: float | None = None,
+    lambda2_floor: float = LAMBDA2_FLOOR_RATIO,
 ) -> tuple[float, float]:
     """Tune (lambda1, lambda2) for a fixed bound matrix Q.
 
     The returned pair never scores worse than ``init``.  ``lambda2_floor``
-    defaults to LAMBDA2_FLOOR_RATIO times the smoothness-only optimum.
+    defaults to LAMBDA2_FLOOR_RATIO: lambda2 = 1 is the scale K carries.
     """
     ws = _Workspace(d, K, sigma, spec)
     rp = ws.rank_prior(rank_penalty_matrix(Q, spec))
-    if lambda2_floor is None:
-        lam2_l2, _ = _l2_only_lambda2(ws, rp)
-        lambda2_floor = LAMBDA2_FLOOR_RATIO * lam2_l2
-    lam1, lam2, _, _ = _optimize_lambdas(ws, rp, init, lambda2_floor, _lambda1_probe(init[1]))
+    lam1, lam2, _ = _optimize_lambdas(ws, rp, init, lambda2_floor, _lambda1_probe(init[1]))
     return lam1, lam2
-
-
-def _l2_only_lambda2(ws: _Workspace, rp: _RankPrior) -> tuple[float, float]:
-    """Evidence-optimal smoothness weight with the rank penalty switched off
-    (lambda1 = 0, where ``rp`` drops out): L-BFGS-B in log10 lambda2 over
-    [1e-6, LAMBDA2_MAX] from lambda2 = 1, the baseline kernel's own scale."""
-
-    def nll_grad(z):
-        lam2 = 10.0 ** float(z[0])
-        f, g = ws.nll_grad(rp, 0.0, lam2)
-        return f, np.array([math.log(10.0) * lam2 * g[1]])
-
-    z, f, _ = _lbfgsb(nll_grad, np.zeros(1), np.log10([(1e-6, LAMBDA2_MAX)]))
-    return 10.0 ** float(z[0]), f
 
 
 def q_saturation(n_samples: int, n_rows: int) -> tuple[float, float]:
@@ -414,10 +398,13 @@ def ssr_fit(
     lambda2) by evidence minimization for the current bound matrix,
     recompute the closed-form coefficient estimate those hyperparameters
     induce, and refresh the bound matrix from its Hankel singular structure.
-    The first lambda search starts from the best of a few probes; each later
-    one starts from the previous lambdas.  Iteration stops as soon as the
-    evidence fails to strictly decrease (ties stop) or after max_iter; the
-    returned coefficients are the closed-form estimate of the best-evidence
+    The prior covariance is the baseline's kernel, which already carries
+    each output's evidence-optimal scale, so lambda2 = 1 is that scale: the
+    first lambda search starts from the best of a few probes at lambda2 = 1,
+    each later one from the previous lambdas, and lambda2 never falls below
+    LAMBDA2_FLOOR_RATIO.  Iteration stops as soon as the evidence fails to
+    strictly decrease (ties stop) or after max_iter; the returned
+    coefficients are the closed-form estimate of the best-evidence
     hyperparameters found.  Any numerical failure inside the loop returns
     the best state so far.  Computes with one BLAS thread (see
     ``core.one_blas_thread``).
@@ -444,7 +431,6 @@ def ssr_fit(
         spec = make_hankel_spec(T, d.p, d.m, r, c)
 
     ws = _Workspace(d, K, sigma, spec)
-    messages: list[str] = []
 
     def make_state(k, lam1, lam2, Q, rp, nll) -> SsrState:
         theta = ImpulseResponse(p=d.p, m=d.m, T=T, theta=ws.map(rp, lam1, lam2))
@@ -454,31 +440,27 @@ def ssr_fit(
     Q = update_q(ss_res.ir, spec, d.n)
     R_Q = rank_penalty_matrix(Q, spec)
     rp = ws.rank_prior(R_Q)
-    lam2_l2, _ = _l2_only_lambda2(ws, rp)
-    floor = LAMBDA2_FLOOR_RATIO * lam2_l2
 
-    # balance the two penalty traces as a starting magnitude for lambda1
+    # balance the two penalty traces as a starting magnitude for lambda1,
+    # at lambda2 = 1, the baseline kernel's own scale
     lam1_lo, lam1_hi = LAMBDA1_BOUNDS
-    lam1_bal = lam2_l2 * ws.trace_k_inv() / max(float(np.trace(R_Q)), 1e-300)
+    lam1_bal = ws.trace_k_inv() / max(float(np.trace(R_Q)), 1e-300)
     lam1_bal = min(max(lam1_bal, lam1_lo), lam1_hi)
-    init = (lam1_bal, lam2_l2)
-    starts = ((lam1_bal * 1e-2, lam2_l2), *_lambda1_probe(lam2_l2))
+    init = (lam1_bal, 1.0)
+    starts = ((lam1_bal * 1e-2, 1.0), *_lambda1_probe(1.0))
 
-    lam1, lam2, nll, kept = _optimize_lambdas(ws, rp, init, floor, starts)
-    if kept:
-        messages.append("initial lambda search failed; keeping initializer")
+    lam1, lam2, nll = _optimize_lambdas(ws, rp, init, LAMBDA2_FLOOR_RATIO, starts)
     trace = [make_state(0, lam1, lam2, Q, rp, nll)]
 
     for k in range(opts.max_iter):
         try:
             Q_new = update_q(trace[-1].theta, spec, d.n)
             rp = ws.rank_prior(rank_penalty_matrix(Q_new, spec))
-            lam1n, lam2n, nll_new, _ = _optimize_lambdas(ws, rp, (lam1, lam2), floor)
+            lam1n, lam2n, nll_new = _optimize_lambdas(ws, rp, (lam1, lam2), LAMBDA2_FLOOR_RATIO)
             if not nll_new < trace[-1].nll:
                 break
             trace.append(make_state(k + 1, lam1n, lam2n, Q_new, rp, nll_new))
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
-            messages.append(f"iteration {k + 1} aborted: {exc}")
             log.warning("iteration %d aborted: %s", k + 1, exc)
             break
         lam1, lam2 = lam1n, lam2n
@@ -489,7 +471,6 @@ def ssr_fit(
         spec=spec,
         sigma=sigma,
         ss=ss_res,
-        lambda2_floor=floor,
+        lambda2_floor=LAMBDA2_FLOOR_RATIO,
         evidence_evals=ws.evals,
-        messages=messages,
     )

@@ -5,14 +5,15 @@ regressor and output stack, the N*p by N*p output covariance, the prior
 precision with an explicit K^-1, and the stacked least-squares system.
 They are too slow and too ill-conditioned for the library and only serve as
 oracles on small instances.  Three helpers drive the estimators' own
-closed-form solves, so a test can put them next to an oracle; the last ones
-are checks the tests apply to the library's outputs.  This module holds no
+closed-form solves, so a test can put them next to an oracle, and one
+searches the smoothness-only lambda2 by bounded Brent; the last ones are
+checks the tests apply to the library's outputs.  This module holds no
 tests itself.
 """
 import math
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, optimize
 
 from hankelssr import Dataset, ImpulseResponse, TrueSystem
 from hankelssr.core import HankelSpec, make_hankel_spec, regressor_block, weighted_hankel
@@ -82,6 +83,19 @@ def engine_map(d: Dataset, Q, lambda1: float, lambda2: float, K, sigma, spec) ->
     return ws.map(rp, lambda1, lambda2)
 
 
+def smoothness_only_lambda2(ws: _Workspace, rp) -> tuple[float, float]:
+    """The evidence-optimal lambda2 with the rank penalty off (lambda1 = 0)
+    and its evidence: a bounded Brent search in log10 lambda2 over
+    [1e-6, 1e6]."""
+    brent = optimize.minimize_scalar(
+        lambda z: ws.nll(rp, 0.0, 10.0**z),
+        bounds=(-6.0, 6.0),
+        method="bounded",
+        options={"xatol": 1e-4},
+    )
+    return 10.0 ** float(brent.x), float(brent.fun)
+
+
 def map_from_precision(d: Dataset, A: np.ndarray, sigma) -> np.ndarray:
     """The estimator's closed-form estimate for a given prior precision A:
     K = A^-1 with lambda2 = 1 and the rank penalty off (lambda1 = 0, Q = I)."""
@@ -96,18 +110,34 @@ def ss_fixed_estimate(
     (alpha, scale, sigma), from the estimator's per-channel factorization."""
     phi = regressor_block(d.u, T)
     L = _gram_chol(order, alpha, T, d.m)
-    theta = [_channel_fit(_ChannelData(phi, d.y[:, i]), L, scale, sigma)[1]() for i in range(d.p)]
+    C = phi.T @ phi
+    theta = [_channel_fit(_ChannelData(phi, C, d.y[:, i]), L, scale, sigma)[1]() for i in range(d.p)]
     return ImpulseResponse(p=d.p, m=d.m, T=T, theta=np.concatenate(theta))
+
+
+def hankel_row_sources(spec: HankelSpec) -> np.ndarray:
+    """The theta index that lands in each entry of vec(H(theta)^T), vec
+    column-major: ``theta[hankel_row_sources(spec)]`` vectorizes the
+    transposed Hankel matrix, and in matrix form the map is the 0/1
+    selection matrix P with one 1 per row."""
+    T, p, m, r, c = spec.T, spec.p, spec.m, spec.r, spec.c
+    a = np.repeat(np.arange(r), p)  # block row of each H row
+    i = np.tile(np.arange(p), r)  # output index of each H row
+    b = np.repeat(np.arange(c), m)  # block column of each H column
+    j = np.tile(np.arange(m), c)  # input index of each H column
+    # vec(H^T) entry (alpha + c*m*beta) = H[beta, alpha] = theta[(i*m + j)*T + a + b]
+    src = ((i * m)[:, None] + j[None, :]) * T + a[:, None] + b[None, :]
+    return src.reshape(-1).astype(np.intp)
 
 
 def vec_hankel_t(spec: HankelSpec, theta: np.ndarray) -> np.ndarray:
     """vec(H(theta)^T), column-major."""
-    return np.asarray(theta, dtype=float)[spec.row_src]
+    return np.asarray(theta, dtype=float)[hankel_row_sources(spec)]
 
 
 def multiplicities(spec: HankelSpec) -> np.ndarray:
     """How many Hankel entries each coefficient occupies."""
-    return np.bincount(spec.row_src, minlength=spec.theta_dim).astype(float)
+    return np.bincount(hankel_row_sources(spec), minlength=spec.theta_dim).astype(float)
 
 
 def numerical_rank(mat_or_sv: np.ndarray, rel_tol: float = 1e-8) -> int:

@@ -16,7 +16,14 @@ from hankelssr.core import (
     surrogate_weights,
 )
 from hankelssr.estimators import atom, ss, ssr
-from oracles import build_regressor, multiplicities, numerical_rank, stack_outputs, vec_hankel_t
+from oracles import (
+    build_regressor,
+    hankel_row_sources,
+    multiplicities,
+    numerical_rank,
+    stack_outputs,
+    vec_hankel_t,
+)
 
 
 class TestImpulseResponse:
@@ -174,7 +181,7 @@ class TestVectorizationMap:
     def test_siso_t3_matrix(self):
         # rows of the 0/1 map [[1,0,0],[0,1,0],[0,1,0],[0,0,1]]
         spec = make_hankel_spec(3, 1, 1, r=2, c=2)
-        np.testing.assert_array_equal(spec.row_src, [0, 1, 1, 2])
+        np.testing.assert_array_equal(hankel_row_sources(spec), [0, 1, 1, 2])
 
     def test_column_sums_are_multiplicities(self):
         spec = make_hankel_spec(3, 1, 1)
@@ -206,7 +213,7 @@ class TestVectorizationMap:
                 vec_hankel_t(spec, theta), H.T.flatten(order="F")
             )
             # one selected coefficient per Hankel entry, every coefficient used
-            assert spec.row_src.shape == (H.size,)
+            assert hankel_row_sources(spec).shape == (H.size,)
             assert multiplicities(spec).sum() == H.size
             assert (multiplicities(spec) >= 1).all()
 

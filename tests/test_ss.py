@@ -111,7 +111,8 @@ class TestChannelSearch:
         # to 1e-5 relative with a floor of 1
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((30, m))
-        ch = _ChannelData(regressor_block(u, T), rng.standard_normal(30))
+        phi = regressor_block(u, T)
+        ch = _ChannelData(phi, phi.T @ phi, rng.standard_normal(30))
         a_lo, a_hi = ALPHA_BOX[order]
         alpha = a_lo + alpha_t * (a_hi - a_lo)
 
@@ -141,7 +142,8 @@ class TestChannelSearch:
         g = np.concatenate([0.7 ** np.arange(1, T + 1), -0.5 * 0.5 ** np.arange(1, T + 1)][:m])
         ir = ImpulseResponse(p=1, m=m, T=T, theta=g)
         y = predict_outputs(Dataset(u=u, y=np.zeros((N, 1))), ir)[:, 0]
-        ch = _ChannelData(regressor_block(u, T), y + 0.3 * rng.standard_normal(N))
+        phi = regressor_block(u, T)
+        ch = _ChannelData(phi, phi.T @ phi, y + 0.3 * rng.standard_normal(N))
         grid = _SeedGrid(ch.C, N, order, T, m)
         alpha, scale, sigma, converged, _ = _fit_channel(ch, grid)
         found = _channel_fit(ch, _gram_chol(order, alpha, T, m), scale, sigma)[0]
@@ -161,7 +163,8 @@ class TestChannelProbe:
     def _channel(m=2, T=6, seed=33):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((40, m))
-        return _ChannelData(regressor_block(u, T), rng.standard_normal(40))
+        phi = regressor_block(u, T)
+        return _ChannelData(phi, phi.T @ phi, rng.standard_normal(40))
 
     def test_one_factorization_per_probe(self, monkeypatch):
         # _gram_chol is one T x T Cholesky, a value probe one tm x tm
@@ -277,7 +280,7 @@ class TestSeedGrid:
             y = phi @ rng.standard_normal(T * m)
         else:
             y = rng.standard_normal(N)
-        ch = _ChannelData(phi, y)
+        ch = _ChannelData(phi, phi.T @ phi, y)
         grid = _SeedGrid(ch.C, N, order, T, m)
         ls0, lg0 = (math.log10(v) for v in _moment_init(ch, grid))
         points = grid.points(ch, ls0, lg0)
